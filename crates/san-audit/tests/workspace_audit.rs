@@ -55,19 +55,20 @@ fn unsafe_stays_confined_to_known_modules() {
 /// ratchet alone would accept it.
 #[test]
 fn panic_allowlist_total_is_ratcheted() {
-    // PR 6 burned the library panic count from 37 down to 2 (the
-    // statically-infallible `SnapshotSource::Replay` expects in
-    // san-metrics::evolution). Lower is better: when you remove sites,
-    // ratchet this down with the allowlist.
-    const MAX_TOTAL: u64 = 2;
+    // The audited library code holds no allowlisted panic site: the last
+    // two (the statically-infallible `SnapshotSource::Replay` expects in
+    // san-metrics::evolution) left with the sweep wrappers that held
+    // them. Keep it at zero — return a typed error instead. Zero is the
+    // floor, so the cap check is an equality.
+    const MAX_TOTAL: u64 = 0;
     let audit = Audit::load().expect("load");
     let total: u64 = audit
         .panic_allowlist
         .entries("allow")
         .map(|e| e.int("count"))
         .sum();
-    assert!(
-        total <= MAX_TOTAL,
+    assert_eq!(
+        total, MAX_TOTAL,
         "panic allowlist grew to {total} sites (cap {MAX_TOTAL}) — fix the new \
          panic sites instead of allowlisting them"
     );

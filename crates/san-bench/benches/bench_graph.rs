@@ -6,7 +6,7 @@ use san_core::model::{SanModel, SanModelParams};
 use san_graph::traverse::bfs_directed;
 use san_graph::{CsrSan, San, SanRead, SanTimeline, ShardedCsrSan, SocialId};
 use san_metrics::clustering::{average_clustering_exact, average_clustering_sharded, NodeSet};
-use san_metrics::evolution::evolve_metric_parallel;
+use san_metrics::evolution::{evolve_metric, SnapshotSource};
 use san_metrics::hyperanf::{social_effective_diameter, social_effective_diameter_sharded};
 use san_metrics::reciprocity::global_reciprocity;
 use san_stats::SplitRng;
@@ -204,7 +204,7 @@ fn bench_timeline_replay(c: &mut Criterion) {
 //    prefix from day 0 and re-freezes from scratch each time (quadratic);
 //  * delta_freeze — `for_each_snapshot(1)`: each day's CSR is patched from
 //    the previous day's (near-linear, zero snapshot clones);
-//  * streamed_parallel — `evolve_metric_parallel(step=1, 4 threads)`:
+//  * streamed_parallel — `evolve_metric(step=1, 4 threads)`:
 //    delta-frozen snapshots streamed through a bounded channel to workers.
 // ---------------------------------------------------------------------------
 
@@ -239,8 +239,10 @@ fn bench_timeline_sweep(c: &mut Criterion) {
     });
     group.bench_function("streamed_parallel/step1_4threads", |b| {
         b.iter(|| {
-            let series =
-                evolve_metric_parallel(&tl, "recip", 1, 4, |_, snap| global_reciprocity(snap));
+            let series = evolve_metric(SnapshotSource::Replay(&tl), "recip", 1, 4, |_, snap| {
+                global_reciprocity(&**snap)
+            })
+            .expect("replay sweep");
             black_box(series.values.len())
         });
     });
@@ -296,7 +298,6 @@ fn bench_sharded_sweep(c: &mut Criterion) {
 
 fn bench_vault_io(c: &mut Criterion) {
     use san_graph::store::SnapshotVault;
-    use san_metrics::evolution::{evolve_metric, evolve_metric_from, SnapshotSource};
 
     let tl = ten_k_timeline();
     let final_day = tl.snapshot_csr(tl.max_day().unwrap());
@@ -349,7 +350,7 @@ fn bench_vault_io(c: &mut Criterion) {
     let empty_vault = SnapshotVault::create(&empty_dir).expect("create empty vault");
     group.bench_function("suffix_sweep/replay_from_day0", |b| {
         b.iter(|| {
-            let series = evolve_metric_from(
+            let series = evolve_metric(
                 SnapshotSource::Vault {
                     timeline: &tl,
                     vault: &empty_vault,
@@ -357,7 +358,8 @@ fn bench_vault_io(c: &mut Criterion) {
                 },
                 "recip",
                 1,
-                |_, snap| global_reciprocity(snap),
+                1,
+                |_, snap| global_reciprocity(&**snap),
             )
             .expect("replay sweep");
             black_box(series.values.len())
@@ -367,13 +369,16 @@ fn bench_vault_io(c: &mut Criterion) {
     // metric, nothing withheld).
     group.bench_function("full_sweep/replay_from_day0", |b| {
         b.iter(|| {
-            let series = evolve_metric(&tl, "recip", 1, |_, snap| global_reciprocity(snap));
+            let series = evolve_metric(SnapshotSource::Replay(&tl), "recip", 1, 1, |_, snap| {
+                global_reciprocity(&**snap)
+            })
+            .expect("replay sweep");
             black_box(series.values.len())
         });
     });
     group.bench_function("suffix_sweep/resume_from_vault", |b| {
         b.iter(|| {
-            let series = evolve_metric_from(
+            let series = evolve_metric(
                 SnapshotSource::Vault {
                     timeline: &tl,
                     vault: &vault,
@@ -381,7 +386,8 @@ fn bench_vault_io(c: &mut Criterion) {
                 },
                 "recip",
                 1,
-                |_, snap| global_reciprocity(snap),
+                1,
+                |_, snap| global_reciprocity(&**snap),
             )
             .expect("vault sweep");
             black_box(series.values.len())
@@ -397,14 +403,15 @@ fn bench_vault_io(c: &mut Criterion) {
 // the eager read_from load; a full exact-clustering sweep over the mapped
 // view vs the owned CsrSan (the zero-copy read path must stay within
 // ~1.3× of owned — in practice it is identical code over identical
-// layouts); and a mixed-day query stream through the for_each_query
-// thread pool. ROADMAP records the medians.
+// layouts); and a mixed-day query stream of `get` + `san_net::execute`
+// on four scoped threads. ROADMAP records the medians.
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
 fn bench_mmap_serve(c: &mut Criterion) {
     use san_graph::mmap::MappedSnapshot;
     use san_graph::store::SnapshotVault;
+    use san_net::{execute, Query};
     use san_serve::{ServeConfig, SnapshotServer};
 
     let tl = ten_k_timeline();
@@ -449,9 +456,10 @@ fn bench_mmap_serve(c: &mut Criterion) {
         let view = mapped.view();
         b.iter(|| black_box(average_clustering_exact(&view, NodeSet::Social)));
     });
-    // A 256-query mixed-day stream, 4 workers: each query probes the
-    // degrees of 64 random nodes on its day — the serving cost (cache +
-    // view construction) dominates, not the metric.
+    // A 256-query mixed-day stream, 4 workers of 64 queries each: each
+    // query probes the degrees of 64 random nodes on its day through the
+    // wire executor — the serving cost (cache + view construction)
+    // dominates, not the metric.
     let mut rng = SplitRng::new(12);
     let queries: Vec<(u32, u64)> = (0..256)
         .map(|_| {
@@ -463,16 +471,23 @@ fn bench_mmap_serve(c: &mut Criterion) {
         .collect();
     group.bench_function("mixed_query_stream/256q_4threads", |b| {
         b.iter(|| {
-            let outcomes = server.for_each_query(4, &queries, |&seed, _, view| {
-                let mut rng = SplitRng::new(seed);
-                let n = view.num_social_nodes() as u64;
-                let mut acc = 0usize;
-                for _ in 0..64 {
-                    acc += view.out_degree(SocialId(rng.below(n) as u32));
+            std::thread::scope(|scope| {
+                for chunk in queries.chunks(64) {
+                    let server = &server;
+                    scope.spawn(move || {
+                        for &(day, seed) in chunk {
+                            let handle = server.get(day).expect("get").expect("served");
+                            let view = handle.view();
+                            let mut rng = SplitRng::new(seed);
+                            let n = view.num_social_nodes() as u64;
+                            for _ in 0..64 {
+                                let u = rng.below(n) as u32;
+                                black_box(execute(Query::Degrees { u }, &view).expect("degrees"));
+                            }
+                        }
+                    });
                 }
-                acc
             });
-            black_box(outcomes.len())
         });
     });
     // Thundering herd: 8 threads hit one *cold* day simultaneously on a

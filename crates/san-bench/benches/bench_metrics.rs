@@ -1,6 +1,7 @@
-//! Criterion benchmarks for the measurement library, including the two
-//! accuracy/latency trade-offs DESIGN.md calls out: exact vs Algorithm 2
-//! clustering, and HyperANF register width.
+//! Criterion benchmarks for the measurement library, including two
+//! accuracy/latency trade-offs: exact vs Algorithm 2 clustering (the
+//! `alg2` experiment in `san_bench::exp::modeling`), and HyperANF
+//! register width.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use san_core::model::{SanModel, SanModelParams};

@@ -8,16 +8,16 @@
 //! ```
 //!
 //! where `<experiment>` is one of `fig2 … fig19`, `closure`, `theory`,
-//! `alg2`, `coverage` (see [`exp`] for the full index, and `DESIGN.md` for
-//! the experiment ↔ module mapping). Criterion micro-benchmarks live under
-//! `benches/`.
+//! `alg2`, `coverage` (see [`exp`] for the full experiment ↔ module
+//! index). Criterion micro-benchmarks live under `benches/`.
 //!
 //! All experiments share one synthetic Google+ dataset ([`Ctx`]), generated
 //! at a configurable scale (`--scale` multiplies the Phase II arrival
 //! rate). Absolute numbers therefore differ from the 30 M-user paper
 //! dataset; the *shapes* — which distribution family wins, which model
-//! matches, where the curves bend — are the reproduction targets, and
-//! `EXPERIMENTS.md` records both sides.
+//! matches, where the curves bend — are the reproduction targets. Each
+//! experiment's "Expectation (paper)" doc states the paper's side; the
+//! run prints ours (`PAPER.md` at the repository root has the abstract).
 
 pub mod exp;
 pub mod load;

@@ -237,8 +237,8 @@ impl SanTimeline {
 
     /// Warm-started form of [`snapshot_stream`](SanTimeline::snapshot_stream)
     /// seeded from an **already materialised** end-of-day snapshot — what
-    /// the `SnapshotSource::Mapped` sweep driver in `san-metrics` uses to
-    /// seed from a zero-copy mapped day
+    /// a `SnapshotSource::Mapped` sweep of `san-metrics`' `evolve_metric`
+    /// uses to seed from a zero-copy mapped day
     /// ([`CsrSanView::to_owned_csr`](crate::view::CsrSanView::to_owned_csr)),
     /// and what [`resume_from_vault`](SanTimeline::resume_from_vault) is
     /// built on. Yields the sampled days of `start..=max_day` on the same

@@ -255,10 +255,10 @@ impl<'a> CsrSanView<'a> {
 
     /// Materialises the view into an owned [`CsrSan`] — the seed for
     /// delta-patching forward from a mapped day
-    /// (`SnapshotSource::Mapped` in `san-metrics`). Each column is copied
-    /// into an exactly-sized allocation, so the result's
-    /// [`CsrSan::heap_bytes`] matches a [`CsrSan::read_from`] load of the
-    /// same bytes.
+    /// (a `SnapshotSource::Mapped` sweep of `san-metrics`'
+    /// `evolve_metric`). Each column is copied into an exactly-sized
+    /// allocation, so the result's [`CsrSan::heap_bytes`] matches a
+    /// [`CsrSan::read_from`] load of the same bytes.
     pub fn to_owned_csr(&self) -> CsrSan {
         CsrSan {
             out_off: self.out_off.to_vec(),

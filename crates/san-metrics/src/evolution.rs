@@ -9,27 +9,24 @@
 //! [`evolve_metric`] produces the day-indexed series that the evolution
 //! figures (4, 6, 7b, 8, 11, 12b) plot.
 //!
-//! All sweeps ride the **snapshot pipeline**: every sampled day's
-//! [`CsrSan`] is produced by delta-freezing — patching the previous day's
-//! CSR arrays with that day's events
-//! ([`SanTimeline::for_each_snapshot`] /
-//! [`SanTimeline::snapshot_stream`]) — so a full-resolution sweep is
-//! near-linear in events, not quadratic. The parallel variant
-//! [`evolve_metric_parallel`] streams `Arc`-shared snapshots to workers
-//! through a bounded channel (no flat-array clone per day), so peak memory
-//! is O(threads × E) however long the timeline is;
-//! [`evolve_metric_sharded`] adds the second axis — each worker
-//! range-partitions its day into a
-//! [`ShardedCsrSan`](san_graph::ShardedCsrSan) so one expensive snapshot
-//! can saturate the machine (days × shards). Metrics that only read
-//! aggregate counters should use [`evolve_metric_counts`], which never
+//! There are two sweep drivers. [`evolve_metric`] rides the **snapshot
+//! pipeline**: every sampled day's [`CsrSan`] is produced by
+//! delta-freezing — patching the previous day's CSR arrays with that
+//! day's events ([`SanTimeline::snapshot_stream`]) — so a
+//! full-resolution sweep is near-linear in events, not quadratic. It
+//! reads any [`SnapshotSource`] (replay, vault warm start, mapped seed)
+//! and runs on the caller thread or streams `Arc`-shared days to a
+//! bounded pool of workers; a metric that wants intra-snapshot
+//! parallelism wraps its day in a
+//! [`ShardedCsrSan`](san_graph::ShardedCsrSan) itself. Metrics that only
+//! read aggregate counters use [`evolve_metric_counts`], which never
 //! freezes at all.
 
 use san_graph::evolve::DayCounts;
 use san_graph::evolve::SnapshotStream;
 use san_graph::store::{SnapshotVault, StoreError};
 use san_graph::view::CsrSanView;
-use san_graph::{CsrSan, SanTimeline, ShardedCsrSan};
+use san_graph::{CsrSan, SanTimeline};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::sync_channel;
@@ -138,65 +135,6 @@ impl MetricSeries {
     }
 }
 
-/// Evaluates `metric` on the frozen end-of-day snapshot of every
-/// `step`-th day (always including the final day) in a single incremental
-/// delta-freeze pass ([`SanTimeline::for_each_snapshot`]).
-///
-/// The metric sees an immutable [`CsrSan`] — the cache-friendly read form
-/// every analytic in this crate accepts. Each sampled snapshot is a patch
-/// of the previous day's CSR arrays, never a from-scratch freeze, and is
-/// borrowed straight from the freezer (no per-day clone). Metrics that
-/// only read aggregate counters (node/link totals, density) should use
-/// [`evolve_metric_counts`] instead, which never builds a CSR at all.
-pub fn evolve_metric<F>(
-    timeline: &SanTimeline,
-    name: &str,
-    step: u32,
-    mut metric: F,
-) -> MetricSeries
-where
-    F: FnMut(u32, &CsrSan) -> f64,
-{
-    let mut series = MetricSeries {
-        name: name.to_string(),
-        ..MetricSeries::default()
-    };
-    timeline.for_each_snapshot(step, |day, snap| {
-        series.days.push(day);
-        series.values.push(metric(day, snap));
-    });
-    series
-}
-
-/// [`evolve_metric`] over any [`SnapshotSource`]: sequential sweep that
-/// can warm-start from a persisted vault day. A vault-backed sweep over
-/// `start..=max_day` is bit-identical to the `day ≥ start` suffix of the
-/// full replay sweep — the series is a resumable computation.
-pub fn evolve_metric_from<F>(
-    source: SnapshotSource<'_>,
-    name: &str,
-    step: u32,
-    mut metric: F,
-) -> Result<MetricSeries, StoreError>
-where
-    F: FnMut(u32, &CsrSan) -> f64,
-{
-    // The replay arm keeps the borrowing zero-clone sweep; the vault arm
-    // pays one Arc hand-off per sampled day (reclaimed between days).
-    if let SnapshotSource::Replay(tl) = source {
-        return Ok(evolve_metric(tl, name, step, metric));
-    }
-    let mut series = MetricSeries {
-        name: name.to_string(),
-        ..MetricSeries::default()
-    };
-    for (day, snap) in source.stream(step)? {
-        series.days.push(day);
-        series.values.push(metric(day, &snap));
-    }
-    Ok(series)
-}
-
 /// Evaluates a counter-only metric over the timeline without freezing a
 /// single snapshot.
 ///
@@ -233,15 +171,14 @@ where
 /// replay from day 0, a [`SnapshotVault`] warm start, or a zero-copy
 /// mapped snapshot seed.
 ///
-/// Every `evolve_metric*_from` driver accepts this, so the same metric
-/// sweep can run cold (event log only) or hot (persisted days on disk)
-/// without changing the metric code. The vault-backed stream yields the
-/// same `step` grid as the full sweep restricted to `day ≥ start`, with
+/// [`evolve_metric`] accepts any of them, so the same metric sweep can
+/// run cold (event log only) or hot (persisted days on disk) without
+/// changing the metric code. The vault-backed stream yields the same
+/// `step` grid as the full sweep restricted to `day ≥ start`, with
 /// bit-identical snapshots (`vault_equivalence` locks this down).
 #[derive(Debug, Clone, Copy)]
 pub enum SnapshotSource<'a> {
-    /// Delta-freeze the whole timeline from day 0 (what the plain
-    /// [`evolve_metric`] family does).
+    /// Delta-freeze the whole timeline from day 0.
     Replay(&'a SanTimeline),
     /// Load the nearest persisted day `≤ start` from the vault and
     /// delta-patch forward, sweeping only days `start..=max_day`.
@@ -262,7 +199,7 @@ pub enum SnapshotSource<'a> {
     /// start without the eager column deserialisation: the seed comes
     /// straight off the mapped pages.
     ///
-    /// The drivers panic if `day > start` (the seed must be at or before
+    /// The sweep panics if `day > start` (the seed must be at or before
     /// the first reported day), mirroring
     /// [`SanTimeline::resume_from_snapshot`].
     Mapped {
@@ -300,11 +237,68 @@ impl<'a> SnapshotSource<'a> {
     }
 }
 
-/// The shared streamed-parallel driver behind the `evolve_metric_parallel`
-/// and `evolve_metric_sharded` families: delta-frozen `Arc<CsrSan>` days
-/// fan out through a bounded channel to `threads` scoped workers running
-/// `eval`. The stream may be a full replay or a vault warm start — the
-/// driver does not care.
+/// Evaluates `metric` on the delta-frozen end-of-day snapshot of every
+/// `step`-th day of `source` (always including the final day) — the one
+/// freezing sweep driver.
+///
+/// Every sampled snapshot is a patch of the previous day's CSR arrays,
+/// never a from-scratch freeze, handed to the metric as an `Arc`-shared
+/// [`CsrSan`] (no flat-array clone). `threads` picks the parallelism:
+///
+/// * `threads == 1` runs the metric on the caller thread, one day at a
+///   time; each day's handle is dropped before the next patch, so the
+///   freezer reuses its buffer and peak memory stays O(E).
+/// * `threads > 1` streams the days through a **bounded channel** of
+///   capacity `2 × threads` to `threads` scoped workers — one writer
+///   patches forward, many readers measure concurrently. When workers
+///   fall behind the producer blocks, so peak memory is O(threads × E)
+///   however long the timeline is. Worth it when the metric dominates
+///   the patch cost (diameter, exact clustering).
+///
+/// For intra-snapshot parallelism the metric shards its own day:
+/// `ShardedCsrSan::new(Arc::clone(snap), k)` inside the closure
+/// range-partitions it without copying, so `threads × k` workers can
+/// share the machine. Metrics that only read aggregate counters should
+/// use [`evolve_metric_counts`], which never builds a CSR at all.
+///
+/// The series is in day order and identical for every `threads` value
+/// given a pure `metric`; a vault- or mapped-seeded sweep is
+/// bit-identical to the `day ≥ start` suffix of the full replay sweep.
+/// Fails only when a vault-backed source cannot load its snapshot.
+///
+/// # Panics
+/// Panics if `step == 0` or `threads == 0`, and re-throws a panic of
+/// `metric` (after the workers have joined).
+pub fn evolve_metric<F>(
+    source: SnapshotSource<'_>,
+    name: &str,
+    step: u32,
+    threads: usize,
+    metric: F,
+) -> Result<MetricSeries, StoreError>
+where
+    F: Fn(u32, &Arc<CsrSan>) -> f64 + Sync,
+{
+    assert!(step >= 1, "step must be at least 1");
+    assert!(threads >= 1, "need at least one thread");
+    let stream = source.stream(step)?;
+    if threads > 1 {
+        return Ok(stream_metric_parallel(stream, name, threads, metric));
+    }
+    let mut series = MetricSeries {
+        name: name.to_string(),
+        ..MetricSeries::default()
+    };
+    for (day, snap) in stream {
+        series.days.push(day);
+        series.values.push(metric(day, &snap));
+    }
+    Ok(series)
+}
+
+/// The `threads > 1` arm of [`evolve_metric`]: delta-frozen
+/// `Arc<CsrSan>` days fan out through a bounded channel to `threads`
+/// scoped workers running `eval`.
 fn stream_metric_parallel<F>(
     stream: SnapshotStream<'_>,
     name: &str,
@@ -312,9 +306,8 @@ fn stream_metric_parallel<F>(
     eval: F,
 ) -> MetricSeries
 where
-    F: Fn(u32, Arc<CsrSan>) -> f64 + Sync,
+    F: Fn(u32, &Arc<CsrSan>) -> f64 + Sync,
 {
-    assert!(threads >= 1, "need at least one thread");
     let mut series = MetricSeries {
         name: name.to_string(),
         ..MetricSeries::default()
@@ -341,7 +334,7 @@ where
                 if lock_ok(&panicked).is_some() {
                     continue;
                 }
-                match catch_unwind(AssertUnwindSafe(|| eval(day, snap))) {
+                match catch_unwind(AssertUnwindSafe(|| eval(day, &snap))) {
                     Ok(value) => lock_ok(&results).push((day, value)),
                     Err(payload) => *lock_ok(&panicked) = Some(payload),
                 }
@@ -371,131 +364,10 @@ where
     series
 }
 
-/// Parallel variant of [`evolve_metric`] for expensive per-day metrics —
-/// **snapshot-level** parallelism (one day per worker).
-///
-/// The producer (caller thread) streams delta-frozen `(day, Arc<CsrSan>)`
-/// snapshots through a **bounded channel** of capacity `2 × threads` to
-/// `threads` scoped workers evaluating `metric` — the read/write split in
-/// action: a single writer patches snapshots forward, many readers measure
-/// them concurrently. When workers fall behind, the producer blocks on the
-/// full channel, so peak memory is O(threads × E) — independent of
-/// timeline length and of `step` — instead of the O(days/step × E) of
-/// materialising every sampled snapshot up front. Worth it when the metric
-/// dominates the patch cost (diameter, exact clustering); for cheap
-/// metrics prefer the single-pass [`evolve_metric`], for counter-only
-/// metrics [`evolve_metric_counts`], and when a *single* day should
-/// saturate the machine, [`evolve_metric_sharded`].
-///
-/// The returned series is in day order regardless of which worker finished
-/// first, and is identical to the sequential [`evolve_metric`] result for
-/// any pure `metric`.
-pub fn evolve_metric_parallel<F>(
-    timeline: &SanTimeline,
-    name: &str,
-    step: u32,
-    threads: usize,
-    metric: F,
-) -> MetricSeries
-where
-    F: Fn(u32, &CsrSan) -> f64 + Sync,
-{
-    evolve_metric_parallel_from(
-        SnapshotSource::Replay(timeline),
-        name,
-        step,
-        threads,
-        metric,
-    )
-    .expect("replay source cannot fail")
-}
-
-/// [`evolve_metric_parallel`] over any [`SnapshotSource`]: the same
-/// bounded-channel fan-out, but the producer can warm-start from a
-/// persisted vault day instead of replaying the whole timeline. Fails only
-/// when the vault-backed source cannot load its snapshot.
-pub fn evolve_metric_parallel_from<F>(
-    source: SnapshotSource<'_>,
-    name: &str,
-    step: u32,
-    threads: usize,
-    metric: F,
-) -> Result<MetricSeries, StoreError>
-where
-    F: Fn(u32, &CsrSan) -> f64 + Sync,
-{
-    assert!(step >= 1, "step must be at least 1");
-    let stream = source.stream(step)?;
-    Ok(stream_metric_parallel(
-        stream,
-        name,
-        threads,
-        |day, snap| metric(day, &snap),
-    ))
-}
-
-/// Evolution sweep with **days × shards** parallelism: `threads` workers
-/// each take one sampled day at a time (as in [`evolve_metric_parallel`])
-/// and range-partition it into a `shards`-way [`ShardedCsrSan`] for the
-/// metric to sweep with intra-snapshot parallelism
-/// ([`ShardedCsrSan::map_shards`] / `fold_shards`).
-///
-/// Pick the split to match the workload: long timelines with cheap days
-/// want `threads > 1, shards = 1`; short timelines with expensive days
-/// (effective diameter, exact clustering on the final snapshot) want
-/// `threads = 1, shards = cores`; in between, `threads × shards ≈ cores`.
-/// The hand-off is `Arc`-shared end to end — the freezer's day goes to the
-/// worker and into the sharded view without ever cloning a flat array.
-pub fn evolve_metric_sharded<F>(
-    timeline: &SanTimeline,
-    name: &str,
-    step: u32,
-    threads: usize,
-    shards: usize,
-    metric: F,
-) -> MetricSeries
-where
-    F: Fn(u32, &ShardedCsrSan) -> f64 + Sync,
-{
-    evolve_metric_sharded_from(
-        SnapshotSource::Replay(timeline),
-        name,
-        step,
-        threads,
-        shards,
-        metric,
-    )
-    .expect("replay source cannot fail")
-}
-
-/// [`evolve_metric_sharded`] over any [`SnapshotSource`]: days × shards
-/// parallelism with an optional vault warm start.
-pub fn evolve_metric_sharded_from<F>(
-    source: SnapshotSource<'_>,
-    name: &str,
-    step: u32,
-    threads: usize,
-    shards: usize,
-    metric: F,
-) -> Result<MetricSeries, StoreError>
-where
-    F: Fn(u32, &ShardedCsrSan) -> f64 + Sync,
-{
-    assert!(step >= 1, "step must be at least 1");
-    assert!(shards >= 1, "need at least one shard");
-    let stream = source.stream(step)?;
-    Ok(stream_metric_parallel(
-        stream,
-        name,
-        threads,
-        |day, snap| metric(day, &ShardedCsrSan::new(snap, shards)),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use san_graph::{SanRead, SocialId, TimelineBuilder};
+    use san_graph::{SanRead, ShardedCsrSan, SocialId, TimelineBuilder};
 
     fn growing_timeline(days: u32) -> SanTimeline {
         let mut tb = TimelineBuilder::new();
@@ -509,6 +381,14 @@ mod tests {
             users.push(u);
         }
         tb.finish().0
+    }
+
+    /// A full replay sweep (the only source that cannot fail).
+    fn replay<F>(tl: &SanTimeline, name: &str, step: u32, threads: usize, metric: F) -> MetricSeries
+    where
+        F: Fn(u32, &Arc<CsrSan>) -> f64 + Sync,
+    {
+        evolve_metric(SnapshotSource::Replay(tl), name, step, threads, metric).expect("replay")
     }
 
     #[test]
@@ -525,7 +405,7 @@ mod tests {
     #[test]
     fn evolve_metric_samples_steps_and_last_day() {
         let tl = growing_timeline(10);
-        let series = evolve_metric(&tl, "nodes", 3, |_, san| san.num_social_nodes() as f64);
+        let series = replay(&tl, "nodes", 3, 1, |_, san| san.num_social_nodes() as f64);
         assert_eq!(series.days, vec![0, 3, 6, 9, 10]);
         assert_eq!(series.values, vec![1.0, 4.0, 7.0, 10.0, 11.0]);
         assert_eq!(series.last(), Some(11.0));
@@ -535,7 +415,7 @@ mod tests {
     #[test]
     fn evolve_metric_step_one_covers_all_days() {
         let tl = growing_timeline(5);
-        let series = evolve_metric(&tl, "links", 1, |_, san| san.num_social_links() as f64);
+        let series = replay(&tl, "links", 1, 1, |_, san| san.num_social_links() as f64);
         assert_eq!(series.days.len(), 6);
         // Links grow by one per day after day 0.
         assert_eq!(series.values, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
@@ -544,7 +424,7 @@ mod tests {
     #[test]
     fn phase_statistics() {
         let tl = growing_timeline(98);
-        let series = evolve_metric(&tl, "nodes", 1, |_, san| san.num_social_nodes() as f64);
+        let series = replay(&tl, "nodes", 1, 1, |_, san| san.num_social_nodes() as f64);
         let b = PhaseBounds::PAPER;
         let m1 = series.phase_mean(b, Phase::I).unwrap();
         let m3 = series.phase_mean(b, Phase::III).unwrap();
@@ -556,7 +436,7 @@ mod tests {
     #[test]
     fn phase_stats_empty_phase() {
         let tl = growing_timeline(5);
-        let series = evolve_metric(&tl, "x", 1, |_, _| 1.0);
+        let series = replay(&tl, "x", 1, 1, |_, _| 1.0);
         assert_eq!(series.phase_mean(PhaseBounds::PAPER, Phase::III), None);
         assert_eq!(series.phase_trend(PhaseBounds::PAPER, Phase::III), None);
     }
@@ -565,15 +445,15 @@ mod tests {
     #[should_panic(expected = "step")]
     fn zero_step_rejected() {
         let tl = growing_timeline(3);
-        evolve_metric(&tl, "x", 0, |_, _| 0.0);
+        replay(&tl, "x", 0, 1, |_, _| 0.0);
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let tl = growing_timeline(40);
-        let seq = evolve_metric(&tl, "links", 3, |_, san| san.num_social_links() as f64);
-        for threads in [1, 2, 4] {
-            let par = evolve_metric_parallel(&tl, "links", 3, threads, |_, san| {
+        let seq = replay(&tl, "links", 3, 1, |_, san| san.num_social_links() as f64);
+        for threads in [2, 4] {
+            let par = replay(&tl, "links", 3, threads, |_, san| {
                 san.num_social_links() as f64
             });
             assert_eq!(par.days, seq.days, "threads={threads}");
@@ -584,13 +464,17 @@ mod tests {
     #[test]
     fn sharded_sweep_matches_sequential_over_threads_and_shards() {
         let tl = growing_timeline(30);
-        let seq = evolve_metric(&tl, "links", 3, |_, s| s.num_social_links() as f64);
+        let seq = replay(&tl, "links", 3, 1, |_, s| s.num_social_links() as f64);
         for threads in [1usize, 2] {
             for shards in [1usize, 2, 4] {
                 // Per-shard link counters summed across shards must equal
                 // the whole-day counter on every sampled day.
-                let par = evolve_metric_sharded(&tl, "links", 3, threads, shards, |_, g| {
-                    g.fold_shards(|s| s.num_social_links(), 0usize, |a, p| a + p) as f64
+                let par = replay(&tl, "links", 3, threads, |_, snap| {
+                    ShardedCsrSan::new(Arc::clone(snap), shards).fold_shards(
+                        |s| s.num_social_links(),
+                        0usize,
+                        |a, p| a + p,
+                    ) as f64
                 });
                 assert_eq!(par.days, seq.days, "threads={threads} shards={shards}");
                 assert_eq!(par.values, seq.values, "threads={threads} shards={shards}");
@@ -601,28 +485,23 @@ mod tests {
     #[test]
     fn sharded_sweep_empty_timeline() {
         let tl = SanTimeline::default();
-        let s = evolve_metric_sharded(&tl, "x", 1, 2, 4, |_, _| 0.0);
+        let s = replay(&tl, "x", 1, 2, |_, snap| {
+            ShardedCsrSan::new(Arc::clone(snap), 4).num_social_nodes() as f64
+        });
         assert!(s.days.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn sharded_sweep_rejects_zero_shards() {
-        let tl = growing_timeline(3);
-        evolve_metric_sharded(&tl, "x", 1, 1, 0, |_, _| 0.0);
     }
 
     #[test]
     fn parallel_empty_timeline() {
         let tl = SanTimeline::default();
-        let s = evolve_metric_parallel(&tl, "x", 1, 4, |_, _| 0.0);
+        let s = replay(&tl, "x", 1, 4, |_, _| 0.0);
         assert!(s.days.is_empty());
     }
 
     #[test]
     fn parallel_more_threads_than_samples() {
         let tl = growing_timeline(2);
-        let s = evolve_metric_parallel(&tl, "n", 1, 8, |_, san| san.num_social_nodes() as f64);
+        let s = replay(&tl, "n", 1, 8, |_, san| san.num_social_nodes() as f64);
         assert_eq!(s.days, vec![0, 1, 2]);
         assert_eq!(s.values, vec![1.0, 2.0, 3.0]);
     }
@@ -630,20 +509,25 @@ mod tests {
     #[test]
     fn parallel_propagates_metric_panic() {
         let tl = growing_timeline(12);
-        let result = std::panic::catch_unwind(|| {
-            evolve_metric_parallel(&tl, "boom", 1, 3, |day, _| {
-                assert!(day != 5, "metric exploded");
-                0.0
-            })
-        });
-        assert!(result.is_err(), "panic must propagate, not deadlock");
+        for threads in [1, 3] {
+            let result = std::panic::catch_unwind(|| {
+                replay(&tl, "boom", 1, threads, |day, _| {
+                    assert!(day != 5, "metric exploded");
+                    0.0
+                })
+            });
+            assert!(
+                result.is_err(),
+                "threads={threads}: panic must propagate, not deadlock"
+            );
+        }
     }
 
     #[test]
     fn counts_path_matches_freezing_path() {
         let tl = growing_timeline(17);
         for step in [1, 3, 7] {
-            let frozen = evolve_metric(&tl, "links", step, |_, s| s.num_social_links() as f64);
+            let frozen = replay(&tl, "links", step, 1, |_, s| s.num_social_links() as f64);
             let counted = evolve_metric_counts(&tl, "links", step, |c| c.social_links as f64);
             assert_eq!(counted.days, frozen.days, "step={step}");
             assert_eq!(counted.values, frozen.values, "step={step}");
@@ -668,7 +552,7 @@ mod tests {
     #[test]
     fn day_passed_to_metric() {
         let tl = growing_timeline(4);
-        let series = evolve_metric(&tl, "day", 2, |day, _| day as f64);
+        let series = replay(&tl, "day", 2, 1, |day, _| day as f64);
         assert_eq!(
             series.days,
             series.values.iter().map(|&v| v as u32).collect::<Vec<_>>()

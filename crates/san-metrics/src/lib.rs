@@ -20,9 +20,9 @@
 //! attribute-augmented label propagation (the §3.4 "dynamic community
 //! detection" direction). Per-day sweeps ride the incremental snapshot
 //! pipeline: [`evolution::evolve_metric`] patches each sampled day's CSR
-//! forward from the previous day (no replay-per-day), and
-//! [`evolution::evolve_metric_parallel`] streams those snapshots through a
-//! bounded channel to worker threads with O(threads × E) peak memory.
+//! forward from the previous day (no replay-per-day) and either measures
+//! it on the caller thread or streams it through a bounded channel to
+//! worker threads with O(threads × E) peak memory.
 //!
 //! The hot per-node sweeps also come in **shard-parallel** form over a
 //! range-partitioned [`san_graph::ShardedCsrSan`], so a *single* snapshot
@@ -33,8 +33,8 @@
 //! [`hyperanf::social_effective_diameter_sharded`]; each decomposes into
 //! per-shard partials plus an explicit associative merge, proven
 //! equivalent to the sequential answer by the `shard_equivalence` suite.
-//! [`evolution::evolve_metric_sharded`] combines both axes (days ×
-//! shards) with `Arc<CsrSan>` hand-off.
+//! A sweep metric combines both axes (days × shards) by wrapping the
+//! `Arc<CsrSan>` day it is handed in a `ShardedCsrSan` of its own.
 //!
 //! All heavy metrics take an explicit RNG so runs are deterministic, and all
 //! approximation knobs (`ε`, `ν`, HyperANF register width) default to the
@@ -60,8 +60,7 @@ pub use degree_dist::{
 };
 pub use density::{attr_density, social_density};
 pub use evolution::{
-    evolve_metric, evolve_metric_counts, evolve_metric_parallel, evolve_metric_sharded,
-    MetricSeries, Phase, PhaseBounds,
+    evolve_metric, evolve_metric_counts, MetricSeries, Phase, PhaseBounds, SnapshotSource,
 };
 pub use hyperanf::{
     attribute_effective_diameter, effective_diameter_from_nf, neighborhood_function_sharded,

@@ -3,24 +3,22 @@
 //! to the same metric on the eagerly-loaded [`CsrSan`] — and evolution
 //! sweeps seeded from a mapped day (`SnapshotSource::Mapped`) are
 //! bit-identical to the `day ≥ start` suffix of a full replay sweep,
-//! across the sequential, bounded-channel parallel, and days × shards
-//! drivers.
+//! on the caller thread, through the bounded-channel worker pool, and
+//! with days × shards metrics.
 
 #![cfg(unix)]
 
 use san_graph::mmap::MappedSnapshot;
 use san_graph::store::SnapshotVault;
 use san_graph::view::CsrSanView;
-use san_graph::{CsrSan, SanRead, SanTimeline, SocialId, TimelineBuilder};
+use san_graph::{CsrSan, SanRead, SanTimeline, ShardedCsrSan, SocialId, TimelineBuilder};
 use san_metrics::clustering::{average_clustering_exact, NodeSet};
-use san_metrics::evolution::{
-    evolve_metric, evolve_metric_from, evolve_metric_parallel_from, evolve_metric_sharded_from,
-    MetricSeries, SnapshotSource,
-};
+use san_metrics::evolution::{evolve_metric, MetricSeries, SnapshotSource};
 use san_metrics::hyperanf::{neighborhood_function, social_effective_diameter};
 use san_metrics::reciprocity::global_reciprocity;
 use san_stats::SplitRng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A fresh scratch directory under the system temp dir; removed on drop.
 struct TempDir(PathBuf);
@@ -153,9 +151,10 @@ fn suffix(series: &MetricSeries, start: u32) -> (Vec<u32>, Vec<u64>) {
 fn mapped_seeded_sweeps_match_replay_suffix_across_drivers() {
     let tmp = TempDir::new("sweeps");
     let tl = growing_timeline(24, 4, 9);
-    let metric = |_: u32, s: &CsrSan| average_clustering_exact(s, NodeSet::Social);
+    let metric = |_: u32, s: &Arc<CsrSan>| average_clustering_exact(&**s, NodeSet::Social);
     for step in [1u32, 3, 7] {
-        let full = evolve_metric(&tl, "clust", step, metric);
+        let full = evolve_metric(SnapshotSource::Replay(&tl), "clust", step, 1, metric)
+            .expect("replay sweep");
         for (seed_day, start) in [(0u32, 0u32), (5, 5), (5, 9), (11, 24), (24, 24), (0, 17)] {
             let seed = tl.snapshot_csr(seed_day);
             let mapped = map_snapshot(&tmp, &format!("seed-{step}-{seed_day}-{start}.csr"), &seed);
@@ -166,23 +165,24 @@ fn mapped_seeded_sweeps_match_replay_suffix_across_drivers() {
                 start,
             };
             let expect = suffix(&full, start);
-            let seq = evolve_metric_from(source(), "clust", step, metric).expect("mapped seq");
+            let seq = evolve_metric(source(), "clust", step, 1, metric).expect("mapped seq");
             assert_eq!(
                 suffix(&seq, 0),
                 expect,
                 "seq step={step} seed={seed_day} start={start}"
             );
             for threads in [1usize, 4] {
-                let par = evolve_metric_parallel_from(source(), "clust", step, threads, metric)
-                    .expect("mapped par");
+                let par =
+                    evolve_metric(source(), "clust", step, threads, metric).expect("mapped par");
                 assert_eq!(
                     suffix(&par, 0),
                     expect,
                     "par step={step} seed={seed_day} start={start} threads={threads}"
                 );
             }
-            let sharded = evolve_metric_sharded_from(source(), "clust", step, 2, 3, |_, g| {
-                san_metrics::clustering::average_clustering_sharded(g, NodeSet::Social)
+            let sharded = evolve_metric(source(), "clust", step, 2, |_, s| {
+                let g = ShardedCsrSan::new(Arc::clone(s), 3);
+                san_metrics::clustering::average_clustering_sharded(&g, NodeSet::Social)
             })
             .expect("mapped sharded");
             // Sharded clustering regroups float sums: compare within 1e-12
@@ -207,10 +207,10 @@ fn mapped_source_matches_vault_source_bit_for_bit() {
     let vault_dir = tmp.file("vault");
     let mut vault = SnapshotVault::create(&vault_dir).expect("create vault");
     vault.save_timeline(&tl, 7).expect("persist");
-    let metric = |_: u32, s: &CsrSan| global_reciprocity(s);
+    let metric = |_: u32, s: &Arc<CsrSan>| global_reciprocity(&**s);
     for (start, nearest) in [(7u32, 7u32), (9, 7), (20, 14), (21, 21)] {
         let mapped = vault.map_day(nearest).expect("map persisted day");
-        let from_vault = evolve_metric_from(
+        let from_vault = evolve_metric(
             SnapshotSource::Vault {
                 timeline: &tl,
                 vault: &vault,
@@ -218,10 +218,11 @@ fn mapped_source_matches_vault_source_bit_for_bit() {
             },
             "recip",
             1,
+            1,
             metric,
         )
         .expect("vault sweep");
-        let from_mapped = evolve_metric_from(
+        let from_mapped = evolve_metric(
             SnapshotSource::Mapped {
                 timeline: &tl,
                 view: mapped.view(),
@@ -229,6 +230,7 @@ fn mapped_source_matches_vault_source_bit_for_bit() {
                 start,
             },
             "recip",
+            1,
             1,
             metric,
         )
@@ -244,11 +246,11 @@ fn mapped_source_matches_vault_source_bit_for_bit() {
 fn mapped_source_edge_cases() {
     let tmp = TempDir::new("edges");
     let tl = growing_timeline(10, 3, 5);
-    let metric = |_: u32, s: &CsrSan| s.num_social_links() as f64;
+    let metric = |_: u32, s: &Arc<CsrSan>| s.num_social_links() as f64;
     // Start past the final day: nothing to emit.
     let seed = tl.snapshot_csr(4);
     let mapped = map_snapshot(&tmp, "seed-4.csr", &seed);
-    let series = evolve_metric_from(
+    let series = evolve_metric(
         SnapshotSource::Mapped {
             timeline: &tl,
             view: mapped.view(),
@@ -256,6 +258,7 @@ fn mapped_source_edge_cases() {
             start: 99,
         },
         "links",
+        1,
         1,
         metric,
     )
@@ -265,7 +268,7 @@ fn mapped_source_edge_cases() {
     let empty = SanTimeline::default();
     let empty_seed = empty.snapshot_csr(0);
     let empty_mapped = map_snapshot(&tmp, "seed-empty.csr", &empty_seed);
-    let series = evolve_metric_from(
+    let series = evolve_metric(
         SnapshotSource::Mapped {
             timeline: &empty,
             view: empty_mapped.view(),
@@ -273,6 +276,7 @@ fn mapped_source_edge_cases() {
             start: 0,
         },
         "links",
+        1,
         1,
         metric,
     )
@@ -287,7 +291,7 @@ fn mapped_seed_after_start_panics() {
     let tl = growing_timeline(8, 3, 7);
     let seed = tl.snapshot_csr(6);
     let mapped = map_snapshot(&tmp, "seed-6.csr", &seed);
-    let _ = evolve_metric_from(
+    let _ = evolve_metric(
         SnapshotSource::Mapped {
             timeline: &tl,
             view: mapped.view(),
@@ -295,6 +299,7 @@ fn mapped_seed_after_start_panics() {
             start: 2,
         },
         "x",
+        1,
         1,
         |_, _| 0.0,
     );

@@ -2,20 +2,18 @@
 //! from a persisted day ([`SnapshotSource::Vault`]) must be **bit
 //! identical** to the `day ≥ start` suffix of the full replay-from-day-0
 //! sweep — for clustering and reciprocity, over step ∈ {1, 3, 7} ×
-//! persisted-day grids, across the sequential, parallel and sharded
-//! drivers, including resume-from-day-0 and resume-past-the-last-
-//! persisted-day edges.
+//! persisted-day grids, on the caller thread, through the worker pool
+//! and with sharding metrics, including resume-from-day-0 and
+//! resume-past-the-last-persisted-day edges.
 
 use san_graph::store::SnapshotVault;
-use san_graph::{AttrType, SanTimeline, SocialId, TimelineBuilder};
+use san_graph::{AttrType, CsrSan, SanTimeline, ShardedCsrSan, SocialId, TimelineBuilder};
 use san_metrics::clustering::{average_clustering_exact, average_clustering_sharded, NodeSet};
-use san_metrics::evolution::{
-    evolve_metric, evolve_metric_from, evolve_metric_parallel_from, evolve_metric_sharded_from,
-    MetricSeries, SnapshotSource,
-};
+use san_metrics::evolution::{evolve_metric, MetricSeries, SnapshotSource};
 use san_metrics::reciprocity::{global_reciprocity, global_reciprocity_sharded};
 use san_stats::SplitRng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 struct TempDir(PathBuf);
 
@@ -93,10 +91,18 @@ fn suffix(full: &MetricSeries, start: u32) -> MetricSeries {
     out
 }
 
+/// A full replay-from-day-0 sweep on the caller thread.
+fn full_sweep<F>(tl: &SanTimeline, name: &str, step: u32, metric: F) -> MetricSeries
+where
+    F: Fn(u32, &Arc<CsrSan>) -> f64 + Sync,
+{
+    evolve_metric(SnapshotSource::Replay(tl), name, step, 1, metric).expect("replay sweep")
+}
+
 /// The core matrix: persisted-day grids {4, 10} × step ∈ {1, 3, 7} ×
 /// resume points covering day 0, persisted days, off-grid days, and past
 /// the last persisted day — clustering and reciprocity both bit-identical
-/// to the full sweep's suffix, through the sequential driver.
+/// to the full sweep's suffix, on the caller thread.
 #[test]
 fn resumed_sequential_matches_full_suffix() {
     let tl = rich_timeline(45, 101);
@@ -106,9 +112,9 @@ fn resumed_sequential_matches_full_suffix() {
         let saved = vault.save_timeline(&tl, vault_step).unwrap();
         let last_persisted = *saved.last().unwrap();
         for step in [1u32, 3, 7] {
-            let full_recip = evolve_metric(&tl, "recip", step, |_, s| global_reciprocity(s));
-            let full_clus = evolve_metric(&tl, "clus", step, |_, s| {
-                average_clustering_exact(s, NodeSet::Social)
+            let full_recip = full_sweep(&tl, "recip", step, |_, s| global_reciprocity(&**s));
+            let full_clus = full_sweep(&tl, "clus", step, |_, s| {
+                average_clustering_exact(&**s, NodeSet::Social)
             });
             // Resume points: day 0, a persisted day, just after one,
             // between persisted days, past the last persisted day, and
@@ -119,15 +125,15 @@ fn resumed_sequential_matches_full_suffix() {
                     vault: &vault,
                     start,
                 };
-                let recip = evolve_metric_from(src, "recip", step, |_, s| global_reciprocity(s))
+                let recip = evolve_metric(src, "recip", step, 1, |_, s| global_reciprocity(&**s))
                     .expect("vault sweep");
                 assert_eq!(
                     recip,
                     suffix(&full_recip, start),
                     "reciprocity vault_step={vault_step} step={step} start={start}"
                 );
-                let clus = evolve_metric_from(src, "clus", step, |_, s| {
-                    average_clustering_exact(s, NodeSet::Social)
+                let clus = evolve_metric(src, "clus", step, 1, |_, s| {
+                    average_clustering_exact(&**s, NodeSet::Social)
                 })
                 .expect("vault sweep");
                 assert_eq!(
@@ -140,7 +146,7 @@ fn resumed_sequential_matches_full_suffix() {
     }
 }
 
-/// The parallel driver over the same matrix (threads ∈ {1, 2, 8}).
+/// The worker pool over the same matrix (threads ∈ {1, 2, 8}).
 #[test]
 fn resumed_parallel_matches_full_suffix() {
     let tl = rich_timeline(45, 211);
@@ -148,7 +154,7 @@ fn resumed_parallel_matches_full_suffix() {
     let mut vault = SnapshotVault::create(&tmp.0).unwrap();
     vault.save_timeline(&tl, 7).unwrap();
     for step in [1u32, 3, 7] {
-        let full = evolve_metric(&tl, "recip", step, |_, s| global_reciprocity(s));
+        let full = full_sweep(&tl, "recip", step, |_, s| global_reciprocity(&**s));
         for threads in [1usize, 2, 8] {
             for start in [0u32, 14, 20, 44] {
                 let src = SnapshotSource::Vault {
@@ -156,10 +162,9 @@ fn resumed_parallel_matches_full_suffix() {
                     vault: &vault,
                     start,
                 };
-                let par = evolve_metric_parallel_from(src, "recip", step, threads, |_, s| {
-                    global_reciprocity(s)
-                })
-                .expect("vault sweep");
+                let par =
+                    evolve_metric(src, "recip", step, threads, |_, s| global_reciprocity(&**s))
+                        .expect("vault sweep");
                 assert_eq!(
                     par,
                     suffix(&full, start),
@@ -170,7 +175,7 @@ fn resumed_parallel_matches_full_suffix() {
     }
 }
 
-/// The sharded driver: days × shards on a vault warm start, reciprocity
+/// Days × shards on a vault warm start, reciprocity
 /// bit-identical, clustering within float-regrouping tolerance of the
 /// sequential full sweep.
 #[test]
@@ -180,9 +185,9 @@ fn resumed_sharded_matches_full_suffix() {
     let mut vault = SnapshotVault::create(&tmp.0).unwrap();
     vault.save_timeline(&tl, 10).unwrap();
     for step in [1u32, 3, 7] {
-        let full_recip = evolve_metric(&tl, "recip", step, |_, s| global_reciprocity(s));
-        let full_clus = evolve_metric(&tl, "clus", step, |_, s| {
-            average_clustering_exact(s, NodeSet::Social)
+        let full_recip = full_sweep(&tl, "recip", step, |_, s| global_reciprocity(&**s));
+        let full_clus = full_sweep(&tl, "clus", step, |_, s| {
+            average_clustering_exact(&**s, NodeSet::Social)
         });
         for shards in [1usize, 2, 4] {
             let src = SnapshotSource::Vault {
@@ -190,8 +195,8 @@ fn resumed_sharded_matches_full_suffix() {
                 vault: &vault,
                 start: 21,
             };
-            let recip = evolve_metric_sharded_from(src, "recip", step, 2, shards, |_, g| {
-                global_reciprocity_sharded(g)
+            let recip = evolve_metric(src, "recip", step, 2, |_, s| {
+                global_reciprocity_sharded(&ShardedCsrSan::new(Arc::clone(s), shards))
             })
             .expect("vault sweep");
             assert_eq!(
@@ -199,8 +204,9 @@ fn resumed_sharded_matches_full_suffix() {
                 suffix(&full_recip, 21),
                 "reciprocity step={step} shards={shards}"
             );
-            let clus = evolve_metric_sharded_from(src, "clus", step, 2, shards, |_, g| {
-                average_clustering_sharded(g, NodeSet::Social)
+            let clus = evolve_metric(src, "clus", step, 2, |_, s| {
+                let sharded = ShardedCsrSan::new(Arc::clone(s), shards);
+                average_clustering_sharded(&sharded, NodeSet::Social)
             })
             .expect("vault sweep");
             let expect = suffix(&full_clus, 21);
@@ -225,7 +231,7 @@ fn resume_edge_cases() {
 
     // Empty vault: nothing persisted, sweep falls back to full replay.
     let empty_vault = SnapshotVault::create(tmp.0.join("empty")).unwrap();
-    let full = evolve_metric(&tl, "recip", 3, |_, s| global_reciprocity(s));
+    let full = full_sweep(&tl, "recip", 3, |_, s| global_reciprocity(&**s));
     for start in [0u32, 11] {
         let src = SnapshotSource::Vault {
             timeline: &tl,
@@ -233,7 +239,7 @@ fn resume_edge_cases() {
             start,
         };
         let series =
-            evolve_metric_from(src, "recip", 3, |_, s| global_reciprocity(s)).expect("sweep");
+            evolve_metric(src, "recip", 3, 1, |_, s| global_reciprocity(&**s)).expect("sweep");
         assert_eq!(series, suffix(&full, start), "empty vault start={start}");
     }
 
@@ -245,7 +251,7 @@ fn resume_edge_cases() {
         vault: &vault,
         start: 31,
     };
-    let series = evolve_metric_from(src, "x", 1, |_, s| global_reciprocity(s)).expect("sweep");
+    let series = evolve_metric(src, "x", 1, 1, |_, s| global_reciprocity(&**s)).expect("sweep");
     assert!(series.days.is_empty());
     assert!(series.values.is_empty());
 
@@ -256,7 +262,7 @@ fn resume_edge_cases() {
         vault: &vault,
         start: 30,
     };
-    let series = evolve_metric_from(src, "recip", 7, |_, s| global_reciprocity(s)).expect("sweep");
+    let series = evolve_metric(src, "recip", 7, 1, |_, s| global_reciprocity(&**s)).expect("sweep");
     assert_eq!(series.days, vec![30]);
     assert_eq!(series.values, suffix(&full_series_step7(&tl), 30).values);
 
@@ -267,12 +273,12 @@ fn resume_edge_cases() {
         vault: &vault,
         start: 0,
     };
-    let series = evolve_metric_from(src, "x", 1, |_, s| global_reciprocity(s)).expect("sweep");
+    let series = evolve_metric(src, "x", 1, 1, |_, s| global_reciprocity(&**s)).expect("sweep");
     assert!(series.days.is_empty());
 }
 
 fn full_series_step7(tl: &SanTimeline) -> MetricSeries {
-    evolve_metric(tl, "recip", 7, |_, s| global_reciprocity(s))
+    full_sweep(tl, "recip", 7, |_, s| global_reciprocity(&**s))
 }
 
 /// A vault persisted on a coarse grid accelerates a fine-grained resume:

@@ -63,7 +63,7 @@ pub const MAX_STATS_BYTES: u32 = 1 << 20;
 /// Response-payload bound for `query_id` (see [`MAX_PAYLOAD_BYTES`]
 /// and [`MAX_STATS_BYTES`]).
 fn max_payload_for(query_id: u16) -> u32 {
-    if query_id == 7 {
+    if query_id == Query::Stats.id() {
         4 + MAX_STATS_BYTES
     } else {
         MAX_PAYLOAD_BYTES

@@ -239,6 +239,45 @@ fn stats_query_and_admin_metrics_expose_the_same_registry() {
     server.shutdown();
 }
 
+/// Every `san.{vault,serve,net}.*` metric name the san-obs README cites
+/// is a family a live `/metrics` scrape exposes, so the README's
+/// examples cannot drift from the emitted names.
+#[test]
+fn readme_metric_names_appear_in_a_live_scrape() {
+    const README: &str = include_str!("../../san-obs/README.md");
+    let mut cited = BTreeSet::new();
+    for prefix in ["san.vault.", "san.serve.", "san.net."] {
+        for (at, _) in README.match_indices(prefix) {
+            let name: String = README[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '.')
+                .collect();
+            cited.insert(name.trim_end_matches('.').to_owned());
+        }
+    }
+    assert!(cited.len() >= 3, "README cites too few names: {cited:?}");
+
+    let net = NetConfig {
+        admin: Some("127.0.0.1:0".parse().unwrap()),
+        ..NetConfig::default()
+    };
+    let (_tmp, server) = start_day7("readme-names", net);
+    assert!(matches!(
+        client(&server).query(10, Query::Counts).expect("warm"),
+        Response::Ok { .. }
+    ));
+    let http = admin_get(&server, "/metrics");
+    let (_, body) = http.split_once("\r\n\r\n").expect("header/body split");
+    let scraped = families(body);
+    for name in &cited {
+        assert!(
+            scraped.contains(&name.replace('.', "_")),
+            "README cites {name}, which /metrics does not expose"
+        );
+    }
+    server.shutdown();
+}
+
 /// Admin endpoint smoke: `/slowlog` dumps the ring header plus traced
 /// requests, unknown paths answer 404, non-GET answers 405 — and the
 /// listener shuts down with the server.

@@ -103,12 +103,6 @@ impl Observe for san_serve::ServeMetrics {
             self.duplicate_inserts(),
         );
         sink.counter(
-            "san.serve.queries",
-            "Queries driven through for_each_query.",
-            &[],
-            self.queries(),
-        );
-        sink.counter(
             "san.serve.no_snapshot",
             "Gets for days before the first persisted snapshot.",
             &[],
@@ -194,7 +188,6 @@ mod tests {
             "san.serve.cache.misses",
             "san.serve.cache.evictions",
             "san.serve.cache.duplicate_inserts",
-            "san.serve.queries",
             "san.serve.no_snapshot",
             "san.serve.dedup.waits",
             "san.serve.dedup.hits",

@@ -49,10 +49,6 @@
 //!   bytes and an open/validate latency histogram (reusing
 //!   [`VaultMetrics`](san_graph::meter::VaultMetrics), the same shape
 //!   the vault itself meters with).
-//! * [`SnapshotServer::for_each_query`] is the thread-pool driver for
-//!   mixed-day query streams: any `SanRead`-generic analytic (all of
-//!   `san-metrics` qualifies) runs against whichever day each query
-//!   names, with results returned in input order.
 //!
 //! Because everything downstream is generic over
 //! [`SanRead`](san_graph::SanRead), serving mapped views changes no
@@ -79,4 +75,4 @@ pub mod server;
 #[cfg(unix)]
 pub use metrics::ServeMetrics;
 #[cfg(unix)]
-pub use server::{FetchKind, QueryOutcome, ServeConfig, SnapshotHandle, SnapshotServer};
+pub use server::{FetchKind, ServeConfig, SnapshotHandle, SnapshotServer};

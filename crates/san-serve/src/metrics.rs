@@ -30,7 +30,6 @@ pub struct ServeMetrics {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    queries: AtomicU64,
     no_snapshot: AtomicU64,
     dedup_waits: AtomicU64,
     dedup_hits: AtomicU64,
@@ -63,12 +62,6 @@ impl ServeMetrics {
     pub fn evictions(&self) -> u64 {
         // ORDERING: relaxed; same single-counter argument as hits().
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Queries routed through [`for_each_query`](crate::SnapshotServer::for_each_query).
-    pub fn queries(&self) -> u64 {
-        // ORDERING: relaxed; same single-counter argument as hits().
-        self.queries.load(Ordering::Relaxed)
     }
 
     /// `get` calls for days before the first persisted snapshot (served
@@ -133,11 +126,6 @@ impl ServeMetrics {
         self.evictions.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_query(&self) {
-        // ORDERING: relaxed; same RMW-atomicity argument as record_hit.
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_no_snapshot(&self) {
         // ORDERING: relaxed; same RMW-atomicity argument as record_hit.
         self.no_snapshot.fetch_add(1, Ordering::Relaxed);
@@ -174,13 +162,11 @@ mod tests {
         m.record_hit();
         m.record_miss();
         m.record_evictions(3);
-        m.record_query();
         m.record_no_snapshot();
         m.io().record_read(1024, Duration::from_micros(50));
         assert_eq!(m.hits(), 2);
         assert_eq!(m.misses(), 1);
         assert_eq!(m.evictions(), 3);
-        assert_eq!(m.queries(), 1);
         assert_eq!(m.no_snapshot(), 1);
         assert_eq!(m.io().read_bytes(), 1024);
         assert_eq!(m.io().read_latency().count(), 1);

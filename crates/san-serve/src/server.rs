@@ -1,5 +1,4 @@
-//! [`SnapshotServer`]: vault-backed, cache-fronted snapshot serving plus
-//! the mixed-day query driver.
+//! [`SnapshotServer`]: vault-backed, cache-fronted snapshot serving.
 
 use crate::cache::ShardedLru;
 use crate::flight::{Flight, FlightOutcome, FlightTable};
@@ -8,8 +7,7 @@ use san_graph::mmap::MappedSnapshot;
 use san_graph::store::{SnapshotVault, StoreError};
 use san_graph::view::CsrSanView;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sizing knobs for a [`SnapshotServer`].
@@ -75,50 +73,6 @@ pub enum FetchKind {
     /// its result (covers waits that resolved to a mapping *or* looped
     /// into a late cache hit after an aborted leader).
     DedupWait,
-}
-
-/// How one query of a [`SnapshotServer::for_each_query`] stream ended.
-#[derive(Debug)]
-pub enum QueryOutcome<R> {
-    /// The query ran against the nearest persisted day.
-    Served {
-        /// The day the query asked for.
-        day_requested: u32,
-        /// The persisted day that served it (`≤ day_requested`).
-        day_served: u32,
-        /// What the evaluator returned.
-        value: R,
-    },
-    /// No persisted day exists at or before the requested day.
-    NoSnapshot {
-        /// The day the query asked for.
-        day_requested: u32,
-    },
-    /// Mapping/validating the snapshot failed.
-    Failed {
-        /// The day the query asked for.
-        day_requested: u32,
-        /// The typed store failure.
-        error: StoreError,
-    },
-}
-
-impl<R> QueryOutcome<R> {
-    /// The evaluator's result, when the query was served.
-    pub fn value(&self) -> Option<&R> {
-        match self {
-            QueryOutcome::Served { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into the evaluator's result.
-    pub fn into_value(self) -> Option<R> {
-        match self {
-            QueryOutcome::Served { value, .. } => Some(value),
-            _ => None,
-        }
-    }
 }
 
 /// Serves historical snapshots out of a [`SnapshotVault`] to any number
@@ -333,78 +287,6 @@ impl SnapshotServer {
                 }
             }
         }
-    }
-
-    /// Runs a mixed-day query stream on a pool of `threads` scoped
-    /// workers: each query `(day, payload)` is resolved through
-    /// [`get`](SnapshotServer::get) and evaluated as
-    /// `eval(&payload, day_served, &view)`. Results come back **in input
-    /// order**, one [`QueryOutcome`] per query; days with no snapshot and
-    /// per-query store failures are outcomes, not sweep aborts.
-    ///
-    /// Any `SanRead`-generic analytic slots straight in as `eval` — the
-    /// entire `san-metrics` surface works unchanged on the zero-copy
-    /// views.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`; a panicking `eval` propagates out of the
-    /// scope (poisoning nothing — the server remains usable).
-    pub fn for_each_query<Q, R, F>(
-        &self,
-        threads: usize,
-        queries: &[(u32, Q)],
-        eval: F,
-    ) -> Vec<QueryOutcome<R>>
-    where
-        Q: Sync,
-        R: Send,
-        F: Fn(&Q, u32, &CsrSanView<'_>) -> R + Sync,
-    {
-        assert!(threads >= 1, "need at least one thread");
-        let next = AtomicUsize::new(0);
-        let collected = Mutex::new(Vec::with_capacity(queries.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(queries.len().max(1)) {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, QueryOutcome<R>)> = Vec::new();
-                    loop {
-                        // ORDERING: relaxed work-stealing ticket — the RMW
-                        // hands each index out exactly once, and the scope
-                        // join below is the only publication point workers
-                        // synchronize on.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(day, ref payload)) = queries.get(i) else {
-                            break;
-                        };
-                        self.metrics.record_query();
-                        let outcome = match self.get(day) {
-                            Ok(Some(handle)) => QueryOutcome::Served {
-                                day_requested: day,
-                                day_served: handle.day(),
-                                value: eval(payload, handle.day(), &handle.view()),
-                            },
-                            Ok(None) => QueryOutcome::NoSnapshot { day_requested: day },
-                            Err(error) => QueryOutcome::Failed {
-                                day_requested: day,
-                                error,
-                            },
-                        };
-                        local.push((i, outcome));
-                    }
-                    // Extend keeps the Vec coherent even if a sibling
-                    // worker panicked while holding the lock.
-                    collected
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(local);
-                });
-            }
-        });
-        let mut rows = collected
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        rows.sort_unstable_by_key(|&(i, _)| i);
-        rows.into_iter().map(|(_, outcome)| outcome).collect()
     }
 }
 

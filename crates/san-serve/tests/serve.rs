@@ -1,7 +1,7 @@
 //! Integration suite for the snapshot-serving layer: day-resolution
 //! semantics, cache behaviour (hits/misses/evictions, byte bound),
 //! metric equivalence between served views and eagerly-loaded snapshots,
-//! and the mixed-day query driver under real thread contention.
+//! and mixed-day `get` streams under real thread contention.
 
 #![cfg(unix)]
 
@@ -9,7 +9,7 @@ use san_graph::store::{SnapshotVault, StoreError};
 use san_graph::{SanRead, SanTimeline, SocialId, TimelineBuilder};
 use san_metrics::clustering::{average_clustering_exact, NodeSet};
 use san_metrics::reciprocity::global_reciprocity;
-use san_serve::{QueryOutcome, ServeConfig, SnapshotServer};
+use san_serve::{ServeConfig, SnapshotServer};
 use san_stats::SplitRng;
 use std::path::PathBuf;
 
@@ -188,59 +188,45 @@ fn served_views_match_eager_loads_on_metrics() {
     }
 }
 
+/// A mixed-day stream split across 1, 2 and 8 threads: every `get`
+/// resolves to the nearest persisted day at or before the requested one,
+/// and the served view measures bit-identically to `load_day` of it.
 #[test]
-fn for_each_query_returns_input_order_and_matches_direct() {
+fn mixed_day_gets_match_load_day_across_threads() {
     let (tmp, _tl, _saved) = served_vault("queries", 30, 5);
     let vault = SnapshotVault::open(&tmp.0).expect("reopen");
     let server = SnapshotServer::open(&tmp.0, ServeConfig::default()).expect("open");
     let mut rng = SplitRng::new(77);
-    let queries: Vec<(u32, u64)> = (0..64).map(|i| (rng.below(35) as u32, i)).collect();
+    let days: Vec<u32> = (0..64).map(|_| rng.below(35) as u32).collect();
     for threads in [1usize, 2, 8] {
-        let outcomes = server.for_each_query(threads, &queries, |&tag, day_served, view| {
-            // A SanRead-generic evaluation mixing structure and payload.
-            (
-                tag,
-                day_served,
-                view.num_social_links(),
-                global_reciprocity(view).to_bits(),
-            )
-        });
-        assert_eq!(outcomes.len(), queries.len());
-        for (outcome, &(day, tag)) in outcomes.iter().zip(&queries) {
-            match vault.nearest_at_or_before(day) {
-                None => {
-                    assert!(
-                        matches!(outcome, QueryOutcome::NoSnapshot { day_requested } if *day_requested == day),
-                        "day {day}"
-                    );
-                }
-                Some(persisted) => {
-                    let loaded = vault.load_day(persisted).expect("load");
-                    let QueryOutcome::Served {
-                        day_requested,
-                        day_served,
-                        value,
-                    } = outcome
-                    else {
-                        panic!("day {day}: expected Served, got {outcome:?}");
-                    };
-                    assert_eq!(*day_requested, day);
-                    assert_eq!(*day_served, persisted);
-                    assert_eq!(
-                        *value,
-                        (
-                            tag,
-                            persisted,
-                            loaded.num_social_links(),
-                            global_reciprocity(&*loaded).to_bits()
-                        ),
-                        "threads {threads} day {day}"
-                    );
-                }
+        std::thread::scope(|scope| {
+            for chunk in days.chunks(days.len().div_ceil(threads)) {
+                let (server, vault) = (&server, &vault);
+                scope.spawn(move || {
+                    for &day in chunk {
+                        let handle = server.get(day).expect("get").expect("served");
+                        let persisted = vault.nearest_at_or_before(day).expect("day 0 persisted");
+                        assert_eq!(handle.day(), persisted, "threads {threads} day {day}");
+                        let view = handle.view();
+                        let loaded = vault.load_day(persisted).expect("load");
+                        assert_eq!(
+                            (view.num_social_links(), global_reciprocity(&view).to_bits()),
+                            (
+                                loaded.num_social_links(),
+                                global_reciprocity(&*loaded).to_bits()
+                            ),
+                            "threads {threads} day {day}"
+                        );
+                    }
+                });
             }
-        }
+        });
     }
-    assert_eq!(server.metrics().queries(), 3 * queries.len() as u64);
+    let m = server.metrics();
+    assert_eq!(
+        m.hits() + m.misses() + m.dedup_waits(),
+        3 * days.len() as u64
+    );
 }
 
 #[test]
@@ -409,15 +395,13 @@ fn empty_vault_serves_nothing() {
     let server = SnapshotServer::open(&tmp.0, ServeConfig::default()).expect("open");
     assert!(server.get(0).expect("get").is_none());
     assert!(server.get(u32::MAX).expect("get").is_none());
-    let outcomes = server.for_each_query(2, &[(3u32, ()), (9, ())], |_, _, _| 0u8);
-    assert!(outcomes
-        .iter()
-        .all(|o| matches!(o, QueryOutcome::NoSnapshot { .. })));
+    assert_eq!(server.metrics().no_snapshot(), 2);
+    assert_eq!(server.cached_days(), 0);
 }
 
 #[test]
 fn corrupt_file_surfaces_as_typed_query_failure() {
-    let (tmp, _tl, saved) = served_vault("corrupt", 10, 5);
+    let (tmp, tl, saved) = served_vault("corrupt", 10, 5);
     // Corrupt one persisted day behind the manifest's back.
     let vault = SnapshotVault::open(&tmp.0).expect("reopen");
     let victim = saved[1];
@@ -431,16 +415,14 @@ fn corrupt_file_surfaces_as_typed_query_failure() {
         server.get(victim).expect_err("corrupt day must fail"),
         StoreError::BadChecksum { .. }
     ));
-    let outcomes = server.for_each_query(2, &[(saved[0], ()), (victim, ())], |_, _, view| {
-        view.num_social_nodes()
-    });
-    assert!(matches!(outcomes[0], QueryOutcome::Served { .. }));
+    // The good day next to it still serves, and the corrupt one keeps
+    // failing typed (failures are never cached).
+    let good = server.get(saved[0]).expect("good day").expect("served");
+    assert_eq!(good.day(), saved[0]);
+    assert_eq!(good.view().to_owned_csr(), tl.snapshot_csr(saved[0]));
     assert!(matches!(
-        &outcomes[1],
-        QueryOutcome::Failed {
-            error: StoreError::BadChecksum { .. },
-            ..
-        }
+        server.get(victim),
+        Err(StoreError::BadChecksum { .. })
     ));
 }
 

@@ -7,16 +7,15 @@
 //! ```
 
 use gplus_san::graph::store::SnapshotVault;
-use gplus_san::graph::ShardedCsrSan;
+use gplus_san::graph::{CsrSan, ShardedCsrSan};
 use gplus_san::metrics::clustering::{
     average_clustering_exact, average_clustering_sharded, NodeSet,
 };
-use gplus_san::metrics::evolution::{
-    evolve_metric, evolve_metric_from, evolve_metric_parallel, Phase, PhaseBounds, SnapshotSource,
-};
+use gplus_san::metrics::evolution::{evolve_metric, Phase, PhaseBounds, SnapshotSource};
 use gplus_san::metrics::reciprocity::global_reciprocity;
 use gplus_san::metrics::social_density;
 use gplus_san::sim::GooglePlus;
+use std::sync::Arc;
 
 fn main() {
     // A small synthetic Google+: ~4k users across the 98-day timeline.
@@ -66,9 +65,14 @@ fn main() {
     // Parallel per-day sweep of an expensive metric: delta-frozen
     // snapshots stream through a bounded channel to four workers, so peak
     // memory stays O(threads × E) however long the timeline is.
-    let clus = evolve_metric_parallel(&data.timeline, "attr clustering", 14, 4, |_, snap| {
-        average_clustering_exact(snap, NodeSet::Attr)
-    });
+    let clus = evolve_metric(
+        SnapshotSource::Replay(&data.timeline),
+        "attr clustering",
+        14,
+        4,
+        |_, snap| average_clustering_exact(&**snap, NodeSet::Attr),
+    )
+    .expect("replay sweep");
     println!("\nattribute clustering, 4-thread sweep over frozen snapshots:");
     for (day, value) in clus.days.iter().zip(&clus.values) {
         println!("  day {day:>3}: {value:.4}");
@@ -116,7 +120,8 @@ fn main() {
         vault.disk_bytes() / 1024,
     );
     let resume_at = last_day / 2 + 1;
-    let resumed = evolve_metric_from(
+    let reciprocity = |_: u32, snap: &Arc<CsrSan>| global_reciprocity(&**snap);
+    let resumed = evolve_metric(
         SnapshotSource::Vault {
             timeline: &data.timeline,
             vault: &vault,
@@ -124,12 +129,18 @@ fn main() {
         },
         "reciprocity",
         7,
-        |_, snap| global_reciprocity(snap),
+        1,
+        reciprocity,
     )
     .expect("vault-resumed sweep");
-    let full = evolve_metric(&data.timeline, "reciprocity", 7, |_, snap| {
-        global_reciprocity(snap)
-    });
+    let full = evolve_metric(
+        SnapshotSource::Replay(&data.timeline),
+        "reciprocity",
+        7,
+        1,
+        reciprocity,
+    )
+    .expect("replay sweep");
     let warm_start = vault.nearest_at_or_before(resume_at).expect("warm start");
     println!(
         "resume at day {resume_at}: warm-started from persisted day {warm_start}, \

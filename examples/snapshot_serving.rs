@@ -1,7 +1,8 @@
 //! Snapshot serving: persist a growing SAN's daily snapshots to a vault,
 //! then serve a mixed-day query stream to a pool of workers through the
 //! `san-serve` layer — zero-copy mmap views, a sharded LRU, and full IO
-//! metering — and verify the served results match eager loads exactly.
+//! metering — executed by the `san-net` wire executor, and verify the
+//! served results match eager loads exactly.
 //!
 //! ```text
 //! cargo run --release --example snapshot_serving
@@ -16,7 +17,9 @@ use gplus_san::metrics::clustering::{average_clustering_exact, NodeSet};
 #[cfg(unix)]
 use gplus_san::metrics::reciprocity::global_reciprocity;
 #[cfg(unix)]
-use gplus_san::serve::{QueryOutcome, ServeConfig, SnapshotServer};
+use gplus_san::net::{execute, Query, QueryResult};
+#[cfg(unix)]
+use gplus_san::serve::{ServeConfig, SnapshotServer};
 #[cfg(unix)]
 use gplus_san::sim::GooglePlus;
 #[cfg(unix)]
@@ -53,58 +56,70 @@ fn main() {
     );
 
     // Serve a mixed-day query stream: 200 queries over the whole day
-    // range, 4 workers, each computing reciprocity + clustering on
-    // whatever persisted day serves its requested day.
+    // range, 4 workers of 50 each. A query resolves its day through the
+    // cache (`get`: the nearest persisted day at or before it) and runs
+    // the wire executor on the zero-copy view — the `get` + `execute`
+    // path every `NetServer` worker takes.
     let server = SnapshotServer::open(&dir, ServeConfig::default()).expect("open server");
     let mut rng = SplitRng::new(3);
-    let queries: Vec<(u32, usize)> = (0..200)
-        .map(|i| (rng.below(u64::from(final_day) + 10) as u32, i))
+    let days: Vec<u32> = (0..200)
+        .map(|_| rng.below(u64::from(final_day) + 10) as u32)
         .collect();
-    let outcomes = server.for_each_query(4, &queries, |_, day_served, view| {
-        (
-            day_served,
-            view.num_social_nodes(),
-            global_reciprocity(view),
-            average_clustering_exact(view, NodeSet::Social),
-        )
+    let answered: Vec<(u32, u32, QueryResult, QueryResult)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = days
+            .chunks(50)
+            .map(|chunk| {
+                let server = &server;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    for &day in chunk {
+                        let Some(handle) = server.get(day).expect("get") else {
+                            continue;
+                        };
+                        let view = handle.view();
+                        let counts = execute(Query::Counts, &view).expect("counts");
+                        let recip = execute(Query::Reciprocity, &view).expect("reciprocity");
+                        out.push((day, handle.day(), counts, recip));
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("query worker"))
+            .collect()
     });
 
-    let served = outcomes.iter().filter(|o| o.value().is_some()).count();
-    println!("\nqueries: {} served of {}", served, queries.len());
+    println!("\nqueries: {} served of {}", answered.len(), days.len());
     let m = server.metrics();
     println!(
-        "cache: {} hits / {} misses / {} evictions; {} KiB mapped, open+validate p50 {} µs, hit-path queries {}",
+        "cache: {} hits / {} misses / {} evictions; {} KiB mapped, open+validate p50 {} µs",
         m.hits(),
         m.misses(),
         m.evictions(),
         m.io().read_bytes() / 1024,
         m.io().read_latency().median_nanos() / 1_000,
-        m.queries(),
     );
 
-    // Spot-verify: served results are bit-identical to eager loads.
-    let mut checked = 0;
-    for (outcome, &(day, _)) in outcomes.iter().zip(&queries).take(40) {
-        if let QueryOutcome::Served {
-            day_served, value, ..
-        } = outcome
-        {
-            let loaded = vault.load_day(*day_served).expect("eager load");
-            assert_eq!(value.1, loaded.num_social_nodes(), "day {day}");
-            assert_eq!(
-                value.2.to_bits(),
-                global_reciprocity(&*loaded).to_bits(),
-                "day {day}"
-            );
-            assert_eq!(
-                value.3.to_bits(),
-                average_clustering_exact(&*loaded, NodeSet::Social).to_bits(),
-                "day {day}"
-            );
-            checked += 1;
-        }
+    // Spot-verify: served results are identical to eager loads.
+    for (day, day_served, counts, recip) in answered.iter().take(40) {
+        let loaded = vault.load_day(*day_served).expect("eager load");
+        assert_eq!(
+            *counts,
+            execute(Query::Counts, &*loaded).expect("counts"),
+            "day {day}"
+        );
+        assert_eq!(
+            *recip,
+            QueryResult::Reciprocity(global_reciprocity(&*loaded)),
+            "day {day}"
+        );
     }
-    println!("verified {checked} served queries bit-identical to eager loads");
+    println!(
+        "verified {} served queries identical to eager loads",
+        answered.len().min(40)
+    );
 
     // The last persisted snapshot through both read paths, for scale.
     let last = *saved.last().expect("persisted days");

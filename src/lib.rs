@@ -31,16 +31,16 @@
 //! versioned, checksummed binary format (`CsrSan::write_to` /
 //! `read_from`) plus [`graph::store::SnapshotVault`] directories of
 //! persisted days, so evolution sweeps warm-start from disk
-//! (`SanTimeline::resume_from_vault`, the `evolve_metric*_from` family in
-//! [`metrics`]) instead of replaying the event log from day 0.
+//! (`SanTimeline::resume_from_vault`, a `SnapshotSource::Vault` sweep of
+//! `evolve_metric` in [`metrics`]) instead of replaying the event log
+//! from day 0.
 //!
 //! On top of the store sits the zero-copy read path: [`graph::view`]
 //! views a snapshot's raw bytes in place (no column is deserialised),
 //! [`graph::mmap`] maps persisted days read-only, and [`serve`]
 //! (`san-serve`) is the concurrent serving layer — a `SnapshotServer`
-//! with a sharded LRU of mapped days, metered IO
-//! ([`graph::meter`]), and a thread-pool driver for mixed-day query
-//! streams. [`net`] (`san-net`) puts that server on the wire: a
+//! with a sharded LRU of mapped days and metered IO
+//! ([`graph::meter`]). [`net`] (`san-net`) puts that server on the wire: a
 //! length-prefixed binary protocol (`SANW`) over TCP, a thread-per-core
 //! worker pool with three admission gates that shed overload as typed
 //! `Busy` responses, and closed/open-loop load generators in

@@ -250,7 +250,8 @@ fn crawl_serialisation_roundtrip() {
 /// (Fig. 18b — the dramatic, scale-robust effect), while the full model's
 /// in-degree remains decisively lognormal (the Fig. 16b/18a baseline;
 /// the *family flip* of Fig. 18a is a 10M-node effect that does not
-/// reproduce at laptop scale — see EXPERIMENTS.md).
+/// reproduce at laptop scale — see the "Expectation (paper)" doc of
+/// `san_bench::exp::modeling::fig18`).
 #[test]
 fn ablations_have_reported_effects() {
     let base = SanModelParams::paper_default(98, 12);
