@@ -4,6 +4,11 @@
 //! Kept separate from the socket layer so the request→result mapping is
 //! unit-testable without a listener, and so the server's worker loop
 //! stays a thin shell: decode → admit → `execute` → encode.
+//!
+//! [`execute`] is the reference answer for every query. The server
+//! answers `Reciprocity` from the served day's memo instead, filled by
+//! the same `global_reciprocity` call, so repeat requests skip the
+//! O(|Es|) pass without a second definition of the value.
 
 use crate::proto::{ErrorCode, Query, QueryResult, MAX_NEIGHBOR_PAGE};
 use san_graph::{SanRead, SocialId};

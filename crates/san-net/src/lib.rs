@@ -67,6 +67,12 @@
 //!                                                  Prometheus exposition
 //! ```
 //!
+//! Ids 1–4 and 6 touch one or two adjacency rows. Id 5 is the only
+//! whole-graph query: O(|Es|) on the first request for a resident day,
+//! then O(1) — the server memoises it in that day's cache entry
+//! (`san-serve`'s per-day memo) and recomputes only after the day is
+//! evicted and mapped again. Id 7 reads the metric registry, no snapshot.
+//!
 //! Error codes: 1 `Busy`, 2 `NoSnapshot`, 3 `NodeOutOfRange`,
 //! 4 `ShuttingDown`, 5 `StoreFailed`, 6 `BadRequest`.
 //!

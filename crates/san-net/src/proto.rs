@@ -229,8 +229,9 @@ pub enum Query {
         /// Second node.
         v: u32,
     },
-    /// Global link reciprocity of the snapshot (an O(E) metric) — id 5,
-    /// no params.
+    /// Global link reciprocity of the snapshot — id 5, no params. O(E)
+    /// once per resident day, then O(1): the server memoises the value
+    /// in the day's cache entry until the day is evicted.
     Reciprocity,
     /// Local clustering coefficient of one social node — id 6.
     LocalClustering {

@@ -1,8 +1,9 @@
 //! Observability integration suite: the outcome-counter accounting
 //! equation over real wire traffic, the SANW `stats` query and the
 //! admin HTTP `/metrics` endpoint serving the same metric families,
-//! the `/slowlog` dump, and per-request trace attribution staying
-//! within the 10% acceptance gate of end-to-end latency.
+//! the `/slowlog` dump, per-request trace attribution staying within
+//! the 10% acceptance gate of end-to-end latency, and the per-day memo
+//! counters accounting for every served `reciprocity` request.
 
 #![cfg(unix)]
 
@@ -182,6 +183,9 @@ fn outcome_counters_satisfy_the_accounting_equation() {
         + m.bad_request()
         + m.shutting_down();
     assert_eq!(outcomes, m.requests(), "an outcome escaped the equation");
+    // The one served reciprocity request went through the day's memo.
+    let serve = server.snapshots().metrics();
+    assert_eq!(serve.memo_hits() + serve.memo_fills(), 1);
     server.shutdown();
 }
 
@@ -354,6 +358,15 @@ fn trace_attribution_accounts_for_the_latency() {
     while server.trace_ring().recorded() < 10 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
+    // Every reciprocity request resolves to day 7 (the only persisted
+    // day): the first fills its memo, the other four read it.
+    let serve = server.snapshots().metrics();
+    assert_eq!(serve.memo_fills(), 1, "one fill for the one resident day");
+    assert_eq!(
+        serve.memo_hits() + serve.memo_fills(),
+        5,
+        "every served reciprocity request lands in exactly one memo counter"
+    );
     let entries = server.trace_ring().snapshot();
     assert!(entries.len() >= 10, "only {} traces landed", entries.len());
     for e in &entries {

@@ -2,13 +2,15 @@
 //! correctness against direct evaluation, nearest-day resolution over
 //! the wire, typed rejections (hostile node ids, pre-history days,
 //! malformed frames), all three overload gates answering `Busy` rather
-//! than hanging, and graceful shutdown that drains workers.
+//! than hanging, graceful shutdown that drains workers, and memoised
+//! `Reciprocity` staying bit-identical to direct evaluation through
+//! eviction and re-map.
 
 #![cfg(unix)]
 
 use san_graph::store::SnapshotVault;
 use san_graph::{SanTimeline, TimelineBuilder};
-use san_net::proto::{ErrorCode, NetError, Query, Request, Response};
+use san_net::proto::{ErrorCode, NetError, Query, QueryResult, Request, Response};
 use san_net::server::{NetConfig, NetServer};
 use san_net::{execute, NetClient};
 use san_serve::{ServeConfig, SnapshotServer};
@@ -228,6 +230,86 @@ fn memory_backpressure_sheds_cold_days_but_serves_cached_ones() {
     assert_eq!(server.metrics().busy(), 1);
     assert_eq!(server.metrics().served(), 2);
     server.shutdown();
+}
+
+/// `Reciprocity` is answered from the served day's memo. For every
+/// persisted day a first request fills it and a second reads it, and
+/// both equal `execute` on the eagerly loaded day bit for bit. Under a
+/// resident budget of about one day, a second pass re-maps evicted days:
+/// values stay bit-identical and the fill count exceeds the day count,
+/// so a memo lives and dies with its mapping.
+#[test]
+fn memoised_reciprocity_is_bit_identical_through_eviction() {
+    let (tmp, _tl, saved) = served_vault("memo", 30, 5);
+    let vault = SnapshotVault::open(&tmp.0).expect("reopen");
+    let expected: Vec<u64> = saved
+        .iter()
+        .map(|&day| {
+            let loaded = vault.load_day(day).expect("load day");
+            match execute(Query::Reciprocity, &*loaded) {
+                Ok(QueryResult::Reciprocity(r)) => r.to_bits(),
+                other => panic!("day {day}: {other:?}"),
+            }
+        })
+        .collect();
+    let largest = {
+        let probe = SnapshotServer::open(&tmp.0, ServeConfig::default()).expect("open");
+        saved
+            .iter()
+            .map(|&day| probe.get_exact(day).expect("map").mapped().mapped_bytes() as u64)
+            .max()
+            .expect("persisted days")
+    };
+    let days = saved.len() as u64;
+    let evicting = ServeConfig {
+        // One shard whose budget fits the largest day but never two of
+        // the later ones: mapping a cold day evicts, yet the cache never
+        // reaches its budget, so gate 3 never sheds.
+        max_resident_bytes: largest + 1,
+        cache_shards: 1,
+    };
+    for (serve, passes) in [(ServeConfig::default(), 1u64), (evicting, 2)] {
+        let server = start(&tmp, serve, NetConfig::default());
+        let meters = server.snapshots().metrics();
+        let mut c = client(&server);
+        for pass in 0..passes {
+            for (&day, &want) in saved.iter().zip(&expected) {
+                for request in 0..2 {
+                    let fills_before = meters.memo_fills();
+                    match c.query(day, Query::Reciprocity).expect("reciprocity") {
+                        Response::Ok {
+                            day_served,
+                            result: QueryResult::Reciprocity(r),
+                        } => {
+                            assert_eq!(day_served, day);
+                            assert_eq!(r.to_bits(), want, "day {day} pass {pass}");
+                        }
+                        other => panic!("day {day}: {other:?}"),
+                    }
+                    let filled = meters.memo_fills() - fills_before;
+                    match (pass, request) {
+                        (0, 0) => assert_eq!(filled, 1, "day {day}: first request fills"),
+                        (_, 1) => assert_eq!(filled, 0, "day {day}: repeat reads the memo"),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert_eq!(meters.memo_hits() + meters.memo_fills(), 2 * passes * days);
+        if passes == 1 {
+            assert_eq!(meters.memo_fills(), days, "one fill per resident day");
+            assert_eq!(meters.evictions(), 0);
+        } else {
+            assert!(meters.evictions() > 0, "the budget forces eviction");
+            assert!(
+                meters.memo_fills() > days,
+                "re-mapped days recompute: {} fills over {days} days",
+                meters.memo_fills()
+            );
+        }
+        assert_eq!(server.metrics().busy(), 0);
+        server.shutdown();
+    }
 }
 
 /// Gate 1 (accept backlog): one worker pinned to one connection, a

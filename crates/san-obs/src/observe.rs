@@ -126,6 +126,24 @@ impl Observe for san_serve::ServeMetrics {
             &[],
             &self.dedup_wait_latency().snapshot(),
         );
+        sink.counter(
+            "san.serve.memo.hits",
+            "Whole-graph aggregate reads answered from a resident day's memo.",
+            &[],
+            self.memo_hits(),
+        );
+        sink.counter(
+            "san.serve.memo.fills",
+            "Whole-graph aggregate reads that computed and stored the day's memo.",
+            &[],
+            self.memo_fills(),
+        );
+        sink.histogram(
+            "san.serve.memo.fill_latency",
+            "Memo fill (whole-graph pass) latency in nanoseconds.",
+            &[],
+            &self.memo_fill_latency().snapshot(),
+        );
         observe_vault(self.io(), "san.serve", sink);
     }
 }
@@ -192,6 +210,9 @@ mod tests {
             "san.serve.dedup.waits",
             "san.serve.dedup.hits",
             "san.serve.dedup.wait_latency",
+            "san.serve.memo.hits",
+            "san.serve.memo.fills",
+            "san.serve.memo.fill_latency",
             "san.serve.io.bytes",
             "san.serve.io.latency",
         ] {

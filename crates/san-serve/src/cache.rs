@@ -23,6 +23,7 @@
 //! `model_tests` module explores every interleaving of 2–3 threads
 //! hitting get/insert/evict on *this exact code*, not a shadow copy.
 
+use crate::memo::Memo;
 use loom_lite::sync::Mutex;
 use san_graph::mmap::MappedSnapshot;
 use std::sync::Arc;
@@ -36,10 +37,36 @@ fn lock_shard(shard: &Mutex<CacheShard>) -> loom_lite::sync::MutexGuard<'_, Cach
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// What the cache keeps per resident day: the mapping plus the memo
+/// slot of its whole-graph aggregate. Every handle to the day shares
+/// this one `Arc`, so a value memoised through any of them serves all;
+/// eviction drops the slot with the mapping, so a re-mapped day starts
+/// empty.
+#[derive(Debug)]
+pub(crate) struct ResidentDay {
+    pub(crate) snap: Arc<MappedSnapshot>,
+    /// Global reciprocity of this mapping, filled on first request.
+    pub(crate) reciprocity: Memo,
+}
+
+impl ResidentDay {
+    /// A freshly-mapped day with an empty memo slot.
+    pub(crate) fn new(snap: Arc<MappedSnapshot>) -> ResidentDay {
+        ResidentDay {
+            snap,
+            reciprocity: Memo::default(),
+        }
+    }
+
+    fn mapped_bytes(&self) -> u64 {
+        self.snap.mapped_bytes() as u64
+    }
+}
+
 /// One cached day.
 struct Entry {
     day: u32,
-    snap: Arc<MappedSnapshot>,
+    resident: Arc<ResidentDay>,
     /// Shard-local logical timestamp of the last `get`/`insert`.
     last_used: u64,
 }
@@ -52,16 +79,18 @@ struct CacheShard {
     bytes: u64,
 }
 
-/// What an insert did, for the metrics layer.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// What an insert did, for the fetch path and the metrics layer.
+#[derive(Debug, Default)]
 pub(crate) struct InsertOutcome {
     /// Days evicted to make room.
     pub evicted: u64,
-    /// The day was already cached: the incumbent was kept and the
-    /// caller's freshly-created mapping was dropped. Before single-flight
-    /// this was the silent cost of the cold-miss race; the metrics layer
-    /// counts it (`duplicate_inserts`) so the dedup win is observable.
-    pub duplicate: bool,
+    /// `Some` when the day was already cached: the incumbent was kept
+    /// and the caller's fresh entry was not inserted. The caller serves
+    /// the incumbent, so one resident day never has two memo slots.
+    /// Before single-flight this was the silent cost of the cold-miss
+    /// race; the metrics layer counts it (`duplicate_inserts`) so the
+    /// dedup win is observable.
+    pub incumbent: Option<Arc<ResidentDay>>,
 }
 
 /// The sharded LRU. Keys are persisted days.
@@ -114,7 +143,7 @@ impl ShardedLru {
     }
 
     /// Looks a day up, bumping its recency on hit.
-    pub(crate) fn get(&self, day: u32) -> Option<Arc<MappedSnapshot>> {
+    pub(crate) fn get(&self, day: u32) -> Option<Arc<ResidentDay>> {
         // Shard state stays coherent under poisoning (a panicking thread
         // leaves counters and entries in a consistent snapshot), so
         // serving continues instead of cascading the panic.
@@ -123,16 +152,16 @@ impl ShardedLru {
         let clock = shard.clock;
         let entry = shard.entries.iter_mut().find(|e| e.day == day)?;
         entry.last_used = clock;
-        Some(Arc::clone(&entry.snap))
+        Some(Arc::clone(&entry.resident))
     }
 
     /// Inserts a freshly-mapped day, evicting least-recently-served
     /// entries until the shard is back under budget. The newly-inserted
     /// day is never evicted by its own insert (an over-budget snapshot
     /// still serves; it just caches alone). Racing inserts of the same
-    /// day keep the incumbent.
-    pub(crate) fn insert(&self, day: u32, snap: Arc<MappedSnapshot>) -> InsertOutcome {
-        let bytes = snap.mapped_bytes() as u64;
+    /// day keep the incumbent and hand it back.
+    pub(crate) fn insert(&self, day: u32, resident: Arc<ResidentDay>) -> InsertOutcome {
+        let bytes = resident.mapped_bytes();
         let budget = self.budgets[self.shard_index(day)];
         let mut shard = lock_shard(self.shard(day));
         shard.clock += 1;
@@ -142,13 +171,13 @@ impl ShardedLru {
             // report the duplicate so the wasted map is visible.
             entry.last_used = clock;
             return InsertOutcome {
-                duplicate: true,
+                incumbent: Some(Arc::clone(&entry.resident)),
                 ..InsertOutcome::default()
             };
         }
         shard.entries.push(Entry {
             day,
-            snap,
+            resident,
             last_used: clock,
         });
         shard.bytes += bytes;
@@ -167,7 +196,7 @@ impl ShardedLru {
                 break;
             };
             let evicted = shard.entries.swap_remove(victim);
-            shard.bytes -= evicted.snap.mapped_bytes() as u64;
+            shard.bytes -= evicted.resident.mapped_bytes();
             outcome.evicted += 1;
         }
         outcome
@@ -203,7 +232,7 @@ impl ShardedLru {
             let sum: u64 = shard
                 .entries
                 .iter()
-                .map(|e| e.snap.mapped_bytes() as u64)
+                .map(|e| e.resident.mapped_bytes())
                 .sum();
             assert_eq!(
                 shard.bytes, sum,
@@ -256,17 +285,25 @@ mod tests {
         (Arc::new(MappedSnapshot::open(&path).expect("map")), path)
     }
 
+    /// A fresh cache entry over a shared fixture mapping.
+    fn fresh(snap: &Arc<MappedSnapshot>) -> Arc<ResidentDay> {
+        Arc::new(ResidentDay::new(Arc::clone(snap)))
+    }
+
     #[test]
     fn lru_evicts_least_recently_served() {
         let (snap, path) = mapped_sample("lru");
         let one = snap.mapped_bytes() as u64;
         // Budget for two entries in one shard.
         let cache = ShardedLru::new(1, 2 * one);
-        assert_eq!(cache.insert(0, Arc::clone(&snap)), InsertOutcome::default());
-        assert_eq!(cache.insert(7, Arc::clone(&snap)), InsertOutcome::default());
+        for day in [0, 7] {
+            let outcome = cache.insert(day, fresh(&snap));
+            assert_eq!(outcome.evicted, 0);
+            assert!(outcome.incumbent.is_none());
+        }
         // Touch day 0 so day 7 is the LRU victim.
         assert!(cache.get(0).is_some());
-        let outcome = cache.insert(14, Arc::clone(&snap));
+        let outcome = cache.insert(14, fresh(&snap));
         assert_eq!(outcome.evicted, 1);
         assert!(cache.get(7).is_none(), "LRU day evicted");
         assert!(cache.get(0).is_some());
@@ -281,9 +318,9 @@ mod tests {
     fn oversized_entry_still_caches_alone() {
         let (snap, path) = mapped_sample("oversize");
         let cache = ShardedLru::new(1, 1); // 1-byte budget
-        cache.insert(3, Arc::clone(&snap));
+        cache.insert(3, fresh(&snap));
         assert!(cache.get(3).is_some(), "own insert never evicts itself");
-        let outcome = cache.insert(9, Arc::clone(&snap));
+        let outcome = cache.insert(9, fresh(&snap));
         assert_eq!(outcome.evicted, 1, "previous day evicted");
         assert!(cache.get(3).is_none());
         assert_eq!(cache.len(), 1);
@@ -296,16 +333,22 @@ mod tests {
         let (snap, path) = mapped_sample("race");
         let cache = ShardedLru::new(4, u64::MAX);
         assert!(
-            !cache.insert(5, Arc::clone(&snap)).duplicate,
+            cache.insert(5, fresh(&snap)).incumbent.is_none(),
             "first insert is no duplicate"
         );
-        let before = Arc::as_ptr(&cache.get(5).expect("cached"));
-        let outcome = cache.insert(5, Arc::new(MappedSnapshot::open(&path).expect("remap")));
-        assert!(outcome.duplicate, "losing insert is reported");
+        let before = cache.get(5).expect("cached");
+        let outcome = cache.insert(
+            5,
+            fresh(&Arc::new(MappedSnapshot::open(&path).expect("remap"))),
+        );
+        let incumbent = outcome.incumbent.expect("losing insert is reported");
+        assert!(
+            Arc::ptr_eq(&incumbent, &before),
+            "the loser is handed the incumbent entry"
+        );
         assert_eq!(outcome.evicted, 0);
-        assert_eq!(
-            Arc::as_ptr(&cache.get(5).expect("still cached")),
-            before,
+        assert!(
+            Arc::ptr_eq(&cache.get(5).expect("still cached"), &before),
             "incumbent mapping kept"
         );
         drop(snap);
@@ -351,8 +394,14 @@ mod tests {
             std::env::temp_dir().join(format!("san-serve-cache-empty-{}.csr", std::process::id()));
         std::fs::write(&path, &bytes).expect("write");
         let cache = ShardedLru::new(2, u64::MAX);
-        cache.insert(0, Arc::new(MappedSnapshot::open(&path).expect("map")));
-        assert_eq!(cache.get(0).expect("cached").view().num_social_nodes(), 0);
+        cache.insert(
+            0,
+            fresh(&Arc::new(MappedSnapshot::open(&path).expect("map"))),
+        );
+        assert_eq!(
+            cache.get(0).expect("cached").snap.view().num_social_nodes(),
+            0
+        );
         let _ = std::fs::remove_file(path);
     }
 }

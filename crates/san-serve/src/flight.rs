@@ -27,8 +27,9 @@
 //! every later fetch starts fresh. The three outcomes:
 //!
 //! * [`FlightOutcome::Mapped`] — the leader mapped and cached the day;
-//!   waiters share the `Arc` directly (they never touch the cache, so
-//!   an eviction racing the publish cannot strand them).
+//!   waiters share the cache entry's `Arc` directly (they never touch
+//!   the cache, so an eviction racing the publish cannot strand them,
+//!   and they share the leader's memo slot).
 //! * [`FlightOutcome::Failed`] — mapping failed with a typed
 //!   [`StoreError`]; every waiter receives it, and because the entry is
 //!   gone the *next* fetch of that day retries from scratch (a corrupt
@@ -48,8 +49,8 @@
 //! cold-miss race in every schedule (SAN-001's exit criterion — see
 //! `audit/findings.md`).
 
+use crate::cache::ResidentDay;
 use loom_lite::sync::{Condvar, Mutex, MutexGuard};
-use san_graph::mmap::MappedSnapshot;
 use san_graph::store::StoreError;
 use std::sync::Arc;
 
@@ -66,8 +67,9 @@ fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// How one in-flight mapping ended, as delivered to its waiters.
 #[derive(Debug, Clone)]
 pub(crate) enum FlightOutcome {
-    /// The leader mapped (and cached) the day; share its mapping.
-    Mapped(Arc<MappedSnapshot>),
+    /// The leader mapped (and cached) the day; share its cache entry —
+    /// the mapping and its memo slot.
+    Mapped(Arc<ResidentDay>),
     /// The leader's map+validate failed; every waiter gets the typed
     /// error.
     Failed(Arc<StoreError>),
@@ -217,13 +219,14 @@ impl std::fmt::Debug for FlightLeader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use san_graph::mmap::MappedSnapshot;
     use san_graph::TimelineBuilder;
     use std::io::Write as _;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
-    fn mapped_sample(tag: &str) -> (Arc<MappedSnapshot>, PathBuf) {
+    fn mapped_sample(tag: &str) -> (Arc<ResidentDay>, PathBuf) {
         let mut tb = TimelineBuilder::new();
         let u0 = tb.add_social_node();
         let u1 = tb.add_social_node();
@@ -233,7 +236,8 @@ mod tests {
             std::env::temp_dir().join(format!("san-serve-flight-{tag}-{}.csr", std::process::id()));
         let mut f = std::fs::File::create(&path).expect("temp file");
         f.write_all(&bytes).expect("write");
-        (Arc::new(MappedSnapshot::open(&path).expect("map")), path)
+        let snap = Arc::new(MappedSnapshot::open(&path).expect("map"));
+        (Arc::new(ResidentDay::new(snap)), path)
     }
 
     #[test]

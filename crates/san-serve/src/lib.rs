@@ -42,11 +42,21 @@
 //!
 //!   Eviction racing a publish stays exact: the cache's byte accounting
 //!   is updated under the shard lock, independent of the latch.
+//! * **Per-day memo of whole-graph aggregates**: each cache entry holds
+//!   the mapping *and* a memo slot for its global reciprocity, so a
+//!   cache hit, a cold map and a dedup wait on one resident day all share
+//!   one slot. [`SnapshotServer::memoised_reciprocity`] fills it on first
+//!   request — O(|Es|), under the slot's lock, so a herd computes once —
+//!   and answers every repeat in O(1). A persisted day is immutable, so
+//!   the value holds for the mapping's whole life; eviction drops the
+//!   slot with the mapping, and a re-mapped day (after eviction or a
+//!   repaired file) starts empty and recomputes.
 //! * [`ServeMetrics`] meters the whole path — hit/miss/eviction
 //!   counters, single-flight `dedup_waits`/`dedup_hits` with a
 //!   wait-latency histogram, `duplicate_inserts` (redundant maps that
-//!   slipped past dedup; held at zero by single-flight), per-vault read
-//!   bytes and an open/validate latency histogram (reusing
+//!   slipped past dedup; held at zero by single-flight), memo
+//!   `memo_hits`/`memo_fills` with a fill-latency histogram, per-vault
+//!   read bytes and an open/validate latency histogram (reusing
 //!   [`VaultMetrics`](san_graph::meter::VaultMetrics), the same shape
 //!   the vault itself meters with).
 //!
@@ -65,6 +75,8 @@
 pub mod cache;
 #[cfg(unix)]
 mod flight;
+#[cfg(unix)]
+mod memo;
 #[cfg(unix)]
 pub mod metrics;
 #[cfg(all(unix, test))]

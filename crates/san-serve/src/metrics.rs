@@ -25,6 +25,11 @@ use std::time::Duration;
 /// each one is a whole mmap+validate the herd did *not* pay — and
 /// `duplicate_inserts` counts cache inserts that lost to an incumbent
 /// (each one a wasted map; single-flight holds this at zero).
+///
+/// The per-day memo ([`SnapshotServer::memoised_reciprocity`](crate::SnapshotServer::memoised_reciprocity))
+/// records exactly one of `memo_hits` (served the stored value) or
+/// `memo_fills` (computed it, the O(|Es|) pass timed into
+/// [`memo_fill_latency`](ServeMetrics::memo_fill_latency)) per call.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     hits: AtomicU64,
@@ -35,6 +40,9 @@ pub struct ServeMetrics {
     dedup_hits: AtomicU64,
     duplicate_inserts: AtomicU64,
     dedup_wait_latency: LatencyHistogram,
+    memo_hits: AtomicU64,
+    memo_fills: AtomicU64,
+    memo_fill_latency: LatencyHistogram,
     io: VaultMetrics,
 }
 
@@ -102,6 +110,27 @@ impl ServeMetrics {
         &self.dedup_wait_latency
     }
 
+    /// Memoised aggregate reads answered from a resident day's filled
+    /// memo slot — each one a whole-graph pass not paid.
+    pub fn memo_hits(&self) -> u64 {
+        // ORDERING: relaxed; same single-counter argument as hits().
+        self.memo_hits.load(Ordering::Relaxed)
+    }
+
+    /// Memoised aggregate reads that found the slot empty and computed
+    /// it: at most one per resident day and aggregate, and again after
+    /// the day is evicted and re-mapped.
+    pub fn memo_fills(&self) -> u64 {
+        // ORDERING: relaxed; same single-counter argument as hits().
+        self.memo_fills.load(Ordering::Relaxed)
+    }
+
+    /// Latency distribution of memo fills: the whole-graph pass each
+    /// fill paid (memo hits never touch it).
+    pub fn memo_fill_latency(&self) -> &LatencyHistogram {
+        &self.memo_fill_latency
+    }
+
     /// The IO meters of the cold-miss path: bytes mapped+validated and
     /// the open/validate latency histogram — the same [`VaultMetrics`]
     /// shape as [`SnapshotVault::metrics`](san_graph::store::SnapshotVault::metrics).
@@ -146,6 +175,19 @@ impl ServeMetrics {
         // ORDERING: relaxed; same RMW-atomicity argument as record_hit.
         self.duplicate_inserts.fetch_add(1, Ordering::Relaxed);
     }
+
+    pub(crate) fn record_memo_hit(&self) {
+        // ORDERING: relaxed; same RMW-atomicity argument as record_hit.
+        // The memoised value itself is published by the slot's mutex,
+        // not through this counter.
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_memo_fill(&self, took: Duration) {
+        // ORDERING: relaxed; same RMW-atomicity argument as record_hit.
+        self.memo_fills.fetch_add(1, Ordering::Relaxed);
+        self.memo_fill_latency.record(took);
+    }
 }
 
 #[cfg(test)]
@@ -185,5 +227,16 @@ mod tests {
         assert_eq!(m.dedup_wait_latency().count(), 2);
         let p50 = m.dedup_wait_latency().median_nanos();
         assert!((131_072..524_288).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn memo_meters_accumulate() {
+        let m = ServeMetrics::new();
+        m.record_memo_fill(Duration::from_millis(2));
+        m.record_memo_hit();
+        m.record_memo_hit();
+        assert_eq!(m.memo_fills(), 1);
+        assert_eq!(m.memo_hits(), 2);
+        assert_eq!(m.memo_fill_latency().count(), 1, "hits record no latency");
     }
 }

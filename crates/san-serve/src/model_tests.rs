@@ -22,14 +22,19 @@
 //!   leader never strands waiters
 //!   ([`aborted_leader_unblocks_waiters`]), and eviction racing a
 //!   publish keeps accounting exact
-//!   ([`eviction_racing_publish_keeps_accounting_exact`]).
+//!   ([`eviction_racing_publish_keeps_accounting_exact`]);
+//! * one memo per resident day — two threads fetching one cold day share
+//!   one cache entry and fill its memo slot exactly once
+//!   ([`memo_fills_once_per_resident_day`]), and a fill racing eviction
+//!   completes on its handle while the re-mapped day's slot starts empty
+//!   ([`memo_fill_racing_eviction_completes_and_remap_starts_empty`]).
 
 // Redundant with the gated `mod` declaration in lib.rs, but makes this
 // file self-describing as test-only code (san-audit classifies files
 // with a test-gating inner attribute as test code).
 #![cfg(test)]
 
-use crate::cache::ShardedLru;
+use crate::cache::{ResidentDay, ShardedLru};
 use crate::flight::{Flight, FlightOutcome, FlightTable};
 use san_graph::mmap::MappedSnapshot;
 use san_graph::store::StoreError;
@@ -54,20 +59,28 @@ fn mapped_fixture(tag: &str) -> (Arc<MappedSnapshot>, PathBuf) {
     (Arc::new(MappedSnapshot::open(&path).expect("map")), path)
 }
 
+/// A fresh cache entry (empty memo slot) over the shared fixture
+/// mapping — the stand-in for one mmap+validate.
+fn fresh(snap: &Arc<MappedSnapshot>) -> Arc<ResidentDay> {
+    Arc::new(ResidentDay::new(Arc::clone(snap)))
+}
+
 /// The server's single-flighted fetch shape, run against the production
 /// cache + flight table inside the model: cache check → join → leader
-/// maps/inserts/publishes, waiter consumes the outcome, abort retries.
-/// Counts each map (the mmap+validate cost stand-in) into `maps`.
+/// maps/inserts/publishes (serving the incumbent if its insert lost),
+/// waiter consumes the outcome, abort retries. Counts each map (the
+/// mmap+validate cost stand-in) into `maps` and returns the cache entry
+/// the caller was handed.
 fn model_fetch(
     table: &FlightTable,
     cache: &ShardedLru,
     day: u32,
     snap: &Arc<MappedSnapshot>,
     maps: &AtomicU64,
-) -> FetchPath {
+) -> (FetchPath, Arc<ResidentDay>) {
     loop {
-        if cache.get(day).is_some() {
-            return FetchPath::Hit;
+        if let Some(resident) = cache.get(day) {
+            return (FetchPath::Hit, resident);
         }
         match table.join(day) {
             Flight::Leader(leader) => {
@@ -75,22 +88,28 @@ fn model_fetch(
                 // between the cache miss and this join already inserted
                 // the day — publish the cached copy instead of remapping.
                 if let Some(cached) = cache.get(day) {
-                    leader.publish(FlightOutcome::Mapped(cached));
-                    return FetchPath::Hit;
+                    leader.publish(FlightOutcome::Mapped(Arc::clone(&cached)));
+                    return (FetchPath::Hit, cached);
                 }
                 maps.fetch_add(1, Ordering::SeqCst);
-                cache.insert(day, Arc::clone(snap));
-                leader.publish(FlightOutcome::Mapped(Arc::clone(snap)));
-                return FetchPath::Led;
+                let mapped = fresh(snap);
+                let resident = cache
+                    .insert(day, Arc::clone(&mapped))
+                    .incumbent
+                    .unwrap_or(mapped);
+                leader.publish(FlightOutcome::Mapped(Arc::clone(&resident)));
+                return (FetchPath::Led, resident);
             }
-            Flight::Waiter(FlightOutcome::Mapped(_)) => return FetchPath::Waited,
+            Flight::Waiter(FlightOutcome::Mapped(resident)) => {
+                return (FetchPath::Waited, resident)
+            }
             Flight::Waiter(FlightOutcome::Failed(_)) => panic!("nobody published a failure"),
             Flight::Waiter(FlightOutcome::Aborted) => continue,
         }
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum FetchPath {
     Hit,
     Led,
@@ -124,7 +143,7 @@ fn cold_miss_maps_exactly_once() {
                 let table = Arc::clone(&table);
                 let snap = Arc::clone(&snap2);
                 let maps = Arc::clone(&maps);
-                loom_lite::thread::spawn(move || model_fetch(&table, &cache, 7, &snap, &maps))
+                loom_lite::thread::spawn(move || model_fetch(&table, &cache, 7, &snap, &maps).0)
             })
             .collect();
         let paths: Vec<FetchPath> = handles
@@ -256,7 +275,7 @@ fn aborted_leader_unblocks_waiters() {
                 loop {
                     match table.join(9) {
                         Flight::Leader(leader) => {
-                            leader.publish(FlightOutcome::Mapped(Arc::clone(&snap)));
+                            leader.publish(FlightOutcome::Mapped(fresh(&snap)));
                             return retried;
                         }
                         Flight::Waiter(FlightOutcome::Aborted) => {
@@ -307,7 +326,7 @@ fn eviction_racing_publish_keeps_accounting_exact() {
         let t_evict = {
             let (cache, snap) = (Arc::clone(&cache), Arc::clone(&snap2));
             loom_lite::thread::spawn(move || {
-                cache.insert(2, snap);
+                cache.insert(2, fresh(&snap));
             })
         };
         t_fetch.join().expect("fetch thread");
@@ -341,7 +360,7 @@ fn eviction_races_keep_byte_accounting_exact() {
                 let cache = Arc::clone(&cache);
                 let snap = Arc::clone(&snap2);
                 loom_lite::thread::spawn(move || {
-                    let outcome = cache.insert(day, snap);
+                    let outcome = cache.insert(day, fresh(&snap));
                     // An insert can evict at most the number of already-
                     // resident days.
                     assert!(outcome.evicted <= 2, "evicted {}", outcome.evicted);
@@ -376,18 +395,18 @@ fn get_insert_evict_mix_is_linearizable() {
         let s1 = Arc::clone(&snap2);
         // Day 0 and day 2 share shard 0 (2 shards, day % shards).
         let t1 = loom_lite::thread::spawn(move || {
-            c1.insert(0, s1);
+            c1.insert(0, fresh(&s1));
         });
         let c2 = Arc::clone(&cache);
         let s2 = Arc::clone(&snap2);
         let t2 = loom_lite::thread::spawn(move || {
-            c2.insert(2, s2);
+            c2.insert(2, fresh(&s2));
         });
         let c3 = Arc::clone(&cache);
         let t3 = loom_lite::thread::spawn(move || {
             if let Some(hit) = c3.get(0) {
                 // A hit must be the incumbent fixture mapping, readable.
-                assert_eq!(hit.view().num_social_nodes(), 2);
+                assert_eq!(hit.snap.view().num_social_nodes(), 2);
             }
         });
         for t in [t1, t2, t3] {
@@ -423,7 +442,7 @@ fn racing_same_day_inserts_keep_one_copy() {
                 let snap = Arc::clone(&snap2);
                 let duplicates = Arc::clone(&duplicates);
                 loom_lite::thread::spawn(move || {
-                    if cache.insert(5, snap).duplicate {
+                    if cache.insert(5, fresh(&snap)).incumbent.is_some() {
                         duplicates.fetch_add(1, Ordering::SeqCst);
                     }
                 })
@@ -439,6 +458,136 @@ fn racing_same_day_inserts_keep_one_copy() {
         // One incumbent, two dropped mappings — each loss is visible to
         // the metrics layer, never silent.
         assert_eq!(duplicates.load(Ordering::SeqCst), 2);
+    });
+    assert!(report.iterations > 1, "explored {}", report.iterations);
+    drop(snap);
+    let _ = std::fs::remove_file(path);
+}
+
+/// Two threads fetch the same resident day and each asks its handle for
+/// the day's memoised aggregate, with a fill that returns a
+/// thread-specific value. In every schedule both handles share one cache
+/// entry, the fill runs **exactly once**, and both threads read the
+/// value that one fill stored. (Leader and waiter handles share the
+/// entry by construction: the flight publishes the cache entry's `Arc`.)
+#[test]
+fn memo_fills_once_per_resident_day() {
+    let (snap, path) = mapped_fixture("memo-once");
+    // Which thread's fill won, across schedules (std atomics: invisible
+    // to the model).
+    let won = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let (snap2, won2) = (Arc::clone(&snap), Arc::clone(&won));
+    let report = loom_lite::model(move || {
+        let cache = Arc::new(ShardedLru::new(2, u64::MAX));
+        let table = Arc::new(FlightTable::new());
+        let maps = Arc::new(AtomicU64::new(0));
+        let fills = Arc::new(AtomicU64::new(0));
+        let (_, mapped) = model_fetch(&table, &cache, 7, &snap2, &maps);
+        assert_eq!(
+            mapped.reciprocity.peek(),
+            None,
+            "a fresh mapping starts empty"
+        );
+        let handles: Vec<_> = (0..2u32)
+            .map(|i| {
+                let (cache, table) = (Arc::clone(&cache), Arc::clone(&table));
+                let (snap, maps, fills) =
+                    (Arc::clone(&snap2), Arc::clone(&maps), Arc::clone(&fills));
+                loom_lite::thread::spawn(move || {
+                    let (_, resident) = model_fetch(&table, &cache, 7, &snap, &maps);
+                    let value = resident.reciprocity.get_or_fill(|| {
+                        fills.fetch_add(1, Ordering::SeqCst);
+                        f64::from(i) + 0.5
+                    });
+                    (resident, value)
+                })
+            })
+            .collect();
+        let seen: Vec<(Arc<ResidentDay>, f64)> = handles
+            .into_iter()
+            .map(|h| h.join().expect("model thread"))
+            .collect();
+        assert_eq!(maps.load(Ordering::SeqCst), 1, "the day stayed resident");
+        assert_eq!(fills.load(Ordering::SeqCst), 1, "one fill per resident day");
+        assert!(
+            Arc::ptr_eq(&seen[0].0, &seen[1].0),
+            "both handles share one cache entry"
+        );
+        assert_eq!(
+            seen[0].1.to_bits(),
+            seen[1].1.to_bits(),
+            "both threads read the one stored value"
+        );
+        let cached = cache.get(7).expect("day stays resident");
+        assert_eq!(cached.reciprocity.peek(), Some(seen[0].1));
+        cache.assert_accounting();
+        let winner = if seen[0].1 == 0.5 { 0 } else { 1 };
+        won2[winner].fetch_add(1, Ordering::SeqCst);
+    });
+    assert!(report.iterations > 1, "explored {}", report.iterations);
+    // Exploration sanity: each thread got to run the fill in some
+    // schedule, so "exactly once" was checked from both sides.
+    assert!(
+        won.iter().all(|w| w.load(Ordering::SeqCst) > 0),
+        "one thread always filled"
+    );
+    drop(snap);
+    let _ = std::fs::remove_file(path);
+}
+
+/// A memo fill races eviction of its day. One thread fills the slot of a
+/// handle it already holds; another inserts a second day into the same
+/// one-snapshot shard (evicting the first) and then fetches the first
+/// day again. In every schedule the fill completes on its handle, byte
+/// accounting stays exact, and the re-mapped day is a new cache entry
+/// whose slot starts empty — a memo never outlives its mapping.
+#[test]
+fn memo_fill_racing_eviction_completes_and_remap_starts_empty() {
+    let (snap, path) = mapped_fixture("memo-evict");
+    let one = snap.mapped_bytes() as u64;
+    let snap2 = Arc::clone(&snap);
+    let report = loom_lite::model(move || {
+        let cache = Arc::new(ShardedLru::new(1, one));
+        let table = Arc::new(FlightTable::new());
+        let maps = Arc::new(AtomicU64::new(0));
+        let (_, held) = model_fetch(&table, &cache, 0, &snap2, &maps);
+        let t_fill = {
+            let held = Arc::clone(&held);
+            loom_lite::thread::spawn(move || held.reciprocity.get_or_fill(|| 0.75))
+        };
+        let t_evict = {
+            let (cache, table) = (Arc::clone(&cache), Arc::clone(&table));
+            let (snap, maps) = (Arc::clone(&snap2), Arc::clone(&maps));
+            loom_lite::thread::spawn(move || {
+                assert_eq!(cache.insert(2, fresh(&snap)).evicted, 1, "day 0 evicted");
+                let (path, remapped) = model_fetch(&table, &cache, 0, &snap, &maps);
+                assert_eq!(path, FetchPath::Led, "an evicted day is mapped again");
+                assert_eq!(
+                    remapped.reciprocity.peek(),
+                    None,
+                    "re-mapped slot starts empty"
+                );
+                remapped
+            })
+        };
+        assert_eq!(t_fill.join().expect("fill thread"), 0.75);
+        let remapped = t_evict.join().expect("evictor thread");
+        assert_eq!(
+            held.reciprocity.peek(),
+            Some(0.75),
+            "fill landed on its handle"
+        );
+        assert!(
+            !Arc::ptr_eq(&held, &remapped),
+            "re-map is a new cache entry"
+        );
+        assert_eq!(maps.load(Ordering::SeqCst), 2);
+        cache.assert_accounting();
+        assert_eq!(cache.len(), 1, "budget holds one snapshot");
+        assert!(Arc::ptr_eq(
+            &cache.get(0).expect("re-mapped day resident"),
+            &remapped
+        ));
     });
     assert!(report.iterations > 1, "explored {}", report.iterations);
     drop(snap);

@@ -1,6 +1,6 @@
 //! [`SnapshotServer`]: vault-backed, cache-fronted snapshot serving.
 
-use crate::cache::ShardedLru;
+use crate::cache::{ResidentDay, ShardedLru};
 use crate::flight::{Flight, FlightOutcome, FlightTable};
 use crate::metrics::ServeMetrics;
 use san_graph::mmap::MappedSnapshot;
@@ -33,12 +33,20 @@ impl Default for ServeConfig {
 }
 
 /// A served snapshot: the resolved day plus a shared handle to its
-/// mapping. Cloning is an `Arc` clone; the mapping lives until the last
-/// clone (cached or handed out) drops.
+/// cache entry — the mapping and the day's memo slot. Cloning is an
+/// `Arc` clone; the entry lives until the last clone (cached or handed
+/// out) drops.
+///
+/// Every handle to one resident day — whether the fetch hit the cache,
+/// led the cold map or waited on another thread's map — shares one
+/// entry, so a whole-graph aggregate memoised through any of them
+/// ([`SnapshotServer::memoised_reciprocity`]) costs O(|Es|) once per
+/// resident day and O(1) after. Eviction drops the memo with the
+/// mapping; a re-mapped day computes afresh.
 #[derive(Debug, Clone)]
 pub struct SnapshotHandle {
     day: u32,
-    snap: Arc<MappedSnapshot>,
+    resident: Arc<ResidentDay>,
 }
 
 impl SnapshotHandle {
@@ -52,12 +60,12 @@ impl SnapshotHandle {
     /// A zero-copy read view over the mapped snapshot — O(1), no
     /// deserialisation ever.
     pub fn view(&self) -> CsrSanView<'_> {
-        self.snap.view()
+        self.resident.snap.view()
     }
 
     /// The underlying shared mapping.
     pub fn mapped(&self) -> &Arc<MappedSnapshot> {
-        &self.snap
+        &self.resident.snap
     }
 }
 
@@ -188,6 +196,32 @@ impl SnapshotServer {
         self.fetch(day)
     }
 
+    /// Global reciprocity of `handle`'s day, memoised in its cache
+    /// entry: the first call per resident day runs `fill` on the
+    /// handle's view (under the slot lock, so concurrent callers compute
+    /// once) and every later call reads the stored value. Callers pass
+    /// the same kernel the uncached query path runs, so the answer has
+    /// one definition. Records a `memo_fills` (with its latency) or a
+    /// `memo_hits`.
+    pub fn memoised_reciprocity(
+        &self,
+        handle: &SnapshotHandle,
+        fill: impl FnOnce(&CsrSanView<'_>) -> f64,
+    ) -> f64 {
+        let mut filled = None;
+        let value = handle.resident.reciprocity.get_or_fill(|| {
+            let started = Instant::now();
+            let value = fill(&handle.view());
+            filled = Some(started.elapsed());
+            value
+        });
+        match filled {
+            Some(latency) => self.metrics.record_memo_fill(latency),
+            None => self.metrics.record_memo_hit(),
+        }
+        value
+    }
+
     /// Cache-through, single-flighted fetch of a day known to be
     /// persisted. Every pass through the loop records exactly one of
     /// `hits`, `misses`, or `dedup_waits`; an aborted leader (a sibling
@@ -208,12 +242,12 @@ impl SnapshotServer {
             }
         };
         loop {
-            if let Some(snap) = self.cache.get(persisted) {
+            if let Some(resident) = self.cache.get(persisted) {
                 self.metrics.record_hit();
                 return Ok((
                     SnapshotHandle {
                         day: persisted,
-                        snap,
+                        resident,
                     },
                     kind_of(ever_waited),
                 ));
@@ -227,13 +261,13 @@ impl SnapshotServer {
                     // before they publish), so this re-check is what makes
                     // "one map per cold day" hold across back-to-back
                     // flights, not just overlapping ones.
-                    if let Some(snap) = self.cache.get(persisted) {
+                    if let Some(resident) = self.cache.get(persisted) {
                         self.metrics.record_hit();
-                        leader.publish(FlightOutcome::Mapped(Arc::clone(&snap)));
+                        leader.publish(FlightOutcome::Mapped(Arc::clone(&resident)));
                         return Ok((
                             SnapshotHandle {
                                 day: persisted,
-                                snap,
+                                resident,
                             },
                             kind_of(ever_waited),
                         ));
@@ -253,16 +287,23 @@ impl SnapshotServer {
                     self.metrics
                         .io()
                         .record_read(snap.mapped_bytes() as u64, started.elapsed());
-                    let outcome = self.cache.insert(persisted, Arc::clone(&snap));
+                    let fresh = Arc::new(ResidentDay::new(snap));
+                    let outcome = self.cache.insert(persisted, Arc::clone(&fresh));
                     self.metrics.record_evictions(outcome.evicted);
-                    if outcome.duplicate {
-                        self.metrics.record_duplicate_insert();
-                    }
-                    leader.publish(FlightOutcome::Mapped(Arc::clone(&snap)));
+                    // A lost insert race serves the incumbent, never the
+                    // fresh mapping: one memo slot per resident day.
+                    let resident = match outcome.incumbent {
+                        Some(incumbent) => {
+                            self.metrics.record_duplicate_insert();
+                            incumbent
+                        }
+                        None => fresh,
+                    };
+                    leader.publish(FlightOutcome::Mapped(Arc::clone(&resident)));
                     return Ok((
                         SnapshotHandle {
                             day: persisted,
-                            snap,
+                            resident,
                         },
                         FetchKind::ColdMap,
                     ));
@@ -271,12 +312,12 @@ impl SnapshotServer {
                     self.metrics.record_dedup_wait(waited.elapsed());
                     ever_waited = true;
                     match outcome {
-                        FlightOutcome::Mapped(snap) => {
+                        FlightOutcome::Mapped(resident) => {
                             self.metrics.record_dedup_hit();
                             return Ok((
                                 SnapshotHandle {
                                     day: persisted,
-                                    snap,
+                                    resident,
                                 },
                                 FetchKind::DedupWait,
                             ));
