@@ -3,8 +3,8 @@
 //! against a real `NetServer` (thread-per-core pool over a
 //! `SnapshotServer` on the 10k-node/98-day fixture), plus a deliberate
 //! overload run that must shed as typed `Busy`. The p50/p99/p999 of
-//! each run land in `BENCH_NET.json` through the criterion shim
-//! registry; ROADMAP records the medians.
+//! each run land in `BENCH_NET.json` through the criterion shim's
+//! `record_value`; ROADMAP records the medians.
 
 use criterion::{black_box, criterion_group, Criterion};
 
@@ -154,7 +154,7 @@ fn bench_net(c: &mut Criterion) {
 }
 
 /// The TCP server rides the unix-only mmap serving stack; elsewhere the
-/// harness still links and writes an empty registry.
+/// harness still links and writes an empty `BENCH_NET.json`.
 #[cfg(not(unix))]
 fn bench_net(_c: &mut Criterion) {}
 

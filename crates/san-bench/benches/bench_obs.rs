@@ -1,5 +1,5 @@
 //! Observability overhead harness: (1) how long one full Prometheus
-//! text-exposition encode of the three-layer registry takes on a warm
+//! text-exposition encode of the three layers' meters takes on a warm
 //! server, and (2) what per-request tracing costs on the wire — the
 //! counts-query RTT measured against two otherwise identical loopback
 //! servers, tracing on vs off, sampled in interleaved batches so clock
@@ -64,7 +64,7 @@ fn bench_obs(c: &mut Criterion) {
     let untraced = start(false);
 
     // Warm both servers (map the day, fill the latency histograms) so
-    // the encode bench scrapes a registry with real content.
+    // the encode bench scrapes meters with real content.
     let mut warm_traced = NetClient::connect(traced.addr()).expect("connect");
     let mut warm_untraced = NetClient::connect(untraced.addr()).expect("connect");
     for _ in 0..100 {
@@ -135,7 +135,7 @@ fn bench_obs(c: &mut Criterion) {
 }
 
 /// The TCP server rides the unix-only mmap serving stack; elsewhere the
-/// harness still links and writes an empty registry.
+/// harness still links and writes an empty `BENCH_OBS.json`.
 #[cfg(not(unix))]
 fn bench_obs(_c: &mut Criterion) {}
 

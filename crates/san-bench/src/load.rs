@@ -4,8 +4,7 @@
 //! Both replay the same deterministic **mixed query stream** (every
 //! protocol query kind, weighted toward the cheap point lookups a real
 //! serving tier sees most) against a server address and record
-//! per-request latency in one shared
-//! [`LatencyHistogram`](san_graph::meter::LatencyHistogram), so
+//! per-request latency in one shared [`LatencyHistogram`], so
 //! p50/p99/p999 come from the same instrument the server itself uses.
 //!
 //! * [`closed_loop`] — each client sends its next request the moment

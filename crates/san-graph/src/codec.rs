@@ -34,7 +34,7 @@ const MAX_VARINT_BYTES: usize = 5;
 const MAX_VARINT_VALUE: u64 = (1 << 35) - 1;
 
 /// Upper bound on the encoded size of `count` values (every varint at its
-/// [`MAX_VARINT_BYTES`] worst case), or `None` on overflow. Header
+/// `MAX_VARINT_BYTES` worst case), or `None` on overflow. Header
 /// validation uses this to reject absurd declared byte lengths before any
 /// allocation.
 pub fn max_encoded_len(count: u64) -> Option<u64> {

@@ -248,7 +248,9 @@ impl SanTimeline {
     /// `seed` must be the end-of-day state of `seed_day` of **this**
     /// timeline (the vault and mapped paths guarantee it); a mismatched
     /// seed yields snapshots of a different network, exactly as feeding a
-    /// foreign snapshot to [`DeltaFreezer::from_shared`] would.
+    /// foreign snapshot to
+    /// [`DeltaFreezer::from_shared`](crate::DeltaFreezer::from_shared)
+    /// would.
     ///
     /// # Panics
     /// Panics if `step == 0` or `seed_day > start`.

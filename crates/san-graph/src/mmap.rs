@@ -1,6 +1,6 @@
 //! [`MappedSnapshot`]: a read-only `mmap(2)` of a `SANCSRBF` snapshot
 //! file, validated once at open and served as zero-copy
-//! [`CsrSanView`](crate::view::CsrSanView)s forever after.
+//! [`CsrSanView`]s forever after.
 //!
 //! This is the serving-side read path: where
 //! [`SnapshotVault::load_day`](crate::store::SnapshotVault::load_day)

@@ -378,7 +378,7 @@ pub enum StoreError {
     /// ([`CsrSanView::new`](crate::view::CsrSanView::new)) whose base
     /// address is not aligned for in-place `u32` column views. Mapped
     /// files are always page-aligned; heap buffers can use
-    /// [`AlignedBytes`](crate::view::AlignedBytes).
+    /// [`AlignedBytes`].
     Misaligned {
         /// The alignment the column views require.
         required: usize,
@@ -934,7 +934,7 @@ impl CsrSan {
     /// arrays in little-endian, then the FNV-1a trailer — through a
     /// bounded staging buffer, so writing never allocates proportional to
     /// the snapshot. Wrap the destination in a
-    /// [`BufWriter`](std::io::BufWriter) when writing to a file.
+    /// [`BufWriter`] when writing to a file.
     pub fn write_to(&self, w: &mut impl Write) -> Result<u64, StoreError> {
         let counts = self.array_counts();
         // Element width per array: ten u32 columns, one u8 tag column.

@@ -9,11 +9,11 @@
 //! single `u8` tag column comes last — so once the buffer has been
 //! validated (header + checksum + structure, exactly the checks
 //! [`CsrSan::read_from`] performs, shared through
-//! [`StoreHeader`](crate::store::StoreHeader) and the store's semantic
+//! [`StoreHeader`] and the store's semantic
 //! validators), a view is eleven borrowed slices and two counters: O(1)
 //! space beyond the underlying buffer, zero heap allocations, and every
 //! [`SanRead`] query runs at the same speed as the owned
-//! [`CsrSan`](crate::CsrSan) because both dispatch to identical
+//! [`CsrSan`] because both dispatch to identical
 //! sorted-slice code.
 //!
 //! The intended buffer is a read-only mapped file
@@ -25,9 +25,9 @@
 //! # Safety boundary
 //!
 //! The only `unsafe` here is the slice reinterpretation in
-//! [`cast_column`]: `&[u8]` → `&[u32]`/`&[SocialId]`/`&[AttrId]`. It is
-//! sound because (1) [`SocialId`](crate::ids::SocialId) and
-//! [`AttrId`](crate::ids::AttrId) are `repr(transparent)` over `u32`,
+//! `cast_column`: `&[u8]` → `&[u32]`/`&[SocialId]`/`&[AttrId]`. It is
+//! sound because (1) [`SocialId`] and
+//! [`AttrId`] are `repr(transparent)` over `u32`,
 //! (2) the construction path rejects buffers whose base address is not
 //! 4-byte aligned ([`StoreError::Misaligned`]) and the validated
 //! descriptor tiling puts every `u32` column at a file offset divisible

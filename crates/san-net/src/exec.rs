@@ -75,7 +75,7 @@ pub fn execute(query: Query, view: &impl SanRead) -> Result<QueryResult, ErrorCo
                 view, u,
             )))
         }
-        // Stats reads the server's metric registry, not a snapshot —
+        // Stats reads the server's meters, not a snapshot —
         // the front-end answers it before admission ever reaches the
         // executor. Reaching here means a caller misrouted it.
         Query::Stats => Err(ErrorCode::BadRequest),

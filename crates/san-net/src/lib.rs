@@ -71,7 +71,7 @@
 //! whole-graph query: O(|Es|) on the first request for a resident day,
 //! then O(1) — the server memoises it in that day's cache entry
 //! (`san-serve`'s per-day memo) and recomputes only after the day is
-//! evicted and mapped again. Id 7 reads the metric registry, no snapshot.
+//! evicted and mapped again. Id 7 reads the server's meters, no snapshot.
 //!
 //! Error codes: 1 `Busy`, 2 `NoSnapshot`, 3 `NodeOutOfRange`,
 //! 4 `ShuttingDown`, 5 `StoreFailed`, 6 `BadRequest`.
@@ -92,11 +92,11 @@
 //!
 //! ## Observability
 //!
-//! The server wires the `san-obs` stack together: a
-//! [`MetricRegistry`](san_obs::MetricRegistry) spanning all three
-//! layers (vault, serve, net — each source base-labelled
-//! `layer="…"`), per-request traces feeding the slow-query ring, and
-//! two scrape surfaces serving one consistent snapshot each: the admin
+//! The server wires the `san-obs` stack together: one scrape walks all
+//! three layers' meters (vault, serve, net — each passed to
+//! [`encode_prometheus`](san_obs::encode_prometheus) base-labelled
+//! `layer="…"`), per-request traces feed the slow-query ring, and two
+//! scrape surfaces serve one consistent snapshot each: the admin
 //! HTTP listener ([`NetConfig::admin`](server::NetConfig)) with
 //! `GET /metrics` + `GET /slowlog`, and the in-protocol `stats` query
 //! for SANW clients.

@@ -40,15 +40,12 @@ use crate::proto::{
     REQUEST_HEADER_BYTES,
 };
 use san_metrics::reciprocity::global_reciprocity;
-use san_obs::{
-    encode_prometheus, render_slowlog, FetchClass, MetricRegistry, MetricSink, Observe,
-    RequestTrace, Stage, TraceRing,
-};
+use san_obs::{encode_prometheus, render_slowlog, FetchClass, RequestTrace, Stage, TraceRing};
 use san_serve::{FetchKind, SnapshotServer};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -114,9 +111,6 @@ pub(crate) struct Shared {
     stop: AtomicBool,
     poll_interval: Duration,
     frame_deadline: Duration,
-    /// All three layers' meters, registered once at startup; scraped by
-    /// `/metrics`, the SANW `stats` query, and `NetServer::registry`.
-    registry: MetricRegistry,
     /// The slow-query ring finished traces land in.
     ring: TraceRing,
     /// Whether workers carry a [`RequestTrace`] per request.
@@ -132,11 +126,15 @@ impl Shared {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// One consistent metrics snapshot as Prometheus text exposition,
-    /// clamped to the wire bound — the single source `/metrics` and the
-    /// SANW `stats` query both serve.
+    /// One consistent metrics snapshot of all three layers' meters as
+    /// Prometheus text exposition, clamped to the wire bound — the single
+    /// source `/metrics` and the SANW `stats` query both serve.
     fn stats_text(&self) -> String {
-        clamp_stats(encode_prometheus(&self.registry))
+        clamp_stats(encode_prometheus(&[
+            (&[("layer", "vault")], self.snaps.vault().metrics()),
+            (&[("layer", "serve")], self.snaps.metrics()),
+            (&[("layer", "net")], &self.metrics),
+        ]))
     }
 }
 
@@ -155,8 +153,8 @@ impl AdminState for Shared {
 }
 
 /// Truncates an exposition document to [`MAX_STATS_BYTES`] at a char
-/// boundary (the registry would need thousands of series to get near
-/// the bound; the clamp keeps the encoder total even then).
+/// boundary (the three meter sets would need thousands of series to get
+/// near the bound; the clamp keeps the encoder total even then).
 fn clamp_stats(mut text: String) -> String {
     let max = MAX_STATS_BYTES as usize;
     if text.len() > max {
@@ -167,42 +165,6 @@ fn clamp_stats(mut text: String) -> String {
         text.truncate(cut);
     }
     text
-}
-
-/// [`Observe`] adapters holding the server weakly: registered sources
-/// must be `Arc<dyn Observe>`, but the meters live inside [`Shared`]
-/// (which owns the registry — `Arc::new_cyclic` breaks the cycle, and
-/// the `Weak` keeps drop order a non-issue).
-struct VaultObs(Weak<Shared>);
-
-impl Observe for VaultObs {
-    fn observe(&self, sink: &mut dyn MetricSink) {
-        if let Some(shared) = self.0.upgrade() {
-            shared.snaps.vault().metrics().observe(sink);
-        }
-    }
-}
-
-/// See [`VaultObs`].
-struct ServeObs(Weak<Shared>);
-
-impl Observe for ServeObs {
-    fn observe(&self, sink: &mut dyn MetricSink) {
-        if let Some(shared) = self.0.upgrade() {
-            shared.snaps.metrics().observe(sink);
-        }
-    }
-}
-
-/// See [`VaultObs`].
-struct NetObs(Weak<Shared>);
-
-impl Observe for NetObs {
-    fn observe(&self, sink: &mut dyn MetricSink) {
-        if let Some(shared) = self.0.upgrade() {
-            shared.metrics.observe(sink);
-        }
-    }
 }
 
 /// The running TCP front-end. Dropping the handle shuts the server
@@ -237,23 +199,16 @@ impl NetServer {
             Some(listener) => Some(listener.local_addr()?),
             None => None,
         };
-        let shared = Arc::new_cyclic(|weak: &Weak<Shared>| {
-            let mut registry = MetricRegistry::builder();
-            registry.register(&[("layer", "vault")], Arc::new(VaultObs(weak.clone())));
-            registry.register(&[("layer", "serve")], Arc::new(ServeObs(weak.clone())));
-            registry.register(&[("layer", "net")], Arc::new(NetObs(weak.clone())));
-            Shared {
-                snaps,
-                queue: ConnQueue::new(config.accept_backlog),
-                gate: InflightGate::new(config.max_inflight),
-                metrics: NetMetrics::new(),
-                stop: AtomicBool::new(false),
-                poll_interval: config.poll_interval.max(Duration::from_millis(1)),
-                frame_deadline: config.frame_deadline.max(Duration::from_millis(10)),
-                registry: registry.build(),
-                ring: TraceRing::new(config.slowlog_capacity),
-                trace: config.trace,
-            }
+        let shared = Arc::new(Shared {
+            snaps,
+            queue: ConnQueue::new(config.accept_backlog),
+            gate: InflightGate::new(config.max_inflight),
+            metrics: NetMetrics::new(),
+            stop: AtomicBool::new(false),
+            poll_interval: config.poll_interval.max(Duration::from_millis(1)),
+            frame_deadline: config.frame_deadline.max(Duration::from_millis(10)),
+            ring: TraceRing::new(config.slowlog_capacity),
+            trace: config.trace,
         });
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -299,12 +254,6 @@ impl NetServer {
     /// (the resolved ephemeral port when bound to port 0).
     pub fn admin_addr(&self) -> Option<SocketAddr> {
         self.admin_addr
-    }
-
-    /// The metric registry covering all three layers (vault, serve,
-    /// net) — what `/metrics` and the SANW `stats` query scrape.
-    pub fn registry(&self) -> &MetricRegistry {
-        &self.shared.registry
     }
 
     /// The slow-query ring (what `/slowlog` dumps).
@@ -562,7 +511,7 @@ fn admit_and_execute(
         mark(&mut trace, Stage::Admission);
         return Response::err(query_id, ErrorCode::ShuttingDown);
     }
-    // A stats query answers from the registry ahead of the in-flight
+    // A stats query answers from the meters ahead of the in-flight
     // gate: the scrape needs no snapshot and must stay observable while
     // the server is shedding `Busy` — overload is exactly when the
     // metrics matter.

@@ -1,6 +1,7 @@
 //! Observability integration suite: the outcome-counter accounting
 //! equation over real wire traffic, the SANW `stats` query and the
 //! admin HTTP `/metrics` endpoint serving the same metric families,
+//! every sample carrying the `layer` label its family name declares,
 //! the `/slowlog` dump, per-request trace attribution staying within
 //! the 10% acceptance gate of end-to-end latency, and the per-day memo
 //! counters accounting for every served `reciprocity` request.
@@ -189,7 +190,7 @@ fn outcome_counters_satisfy_the_accounting_equation() {
     server.shutdown();
 }
 
-/// The SANW `stats` query and `GET /metrics` expose one registry: both
+/// The SANW `stats` query and `GET /metrics` expose one document: both
 /// cover all three layers with full histogram buckets, and their metric
 /// family sets are identical.
 #[test]
@@ -239,6 +240,62 @@ fn stats_query_and_admin_metrics_expose_the_same_registry() {
         families(body),
         families(&wire_text),
         "the two scrape surfaces disagree on metric families"
+    );
+    server.shutdown();
+}
+
+/// Each layer's meters reach the scrape under their own base label:
+/// every sample line of a live `/metrics` scrape carries exactly one
+/// `layer` label, equal to the second segment of its family name
+/// (`san_vault_*` → `vault`, `san_serve_*` → `serve`, `san_net_*` →
+/// `net`).
+#[test]
+fn every_sample_carries_the_layer_its_name_declares() {
+    let net = NetConfig {
+        admin: Some("127.0.0.1:0".parse().unwrap()),
+        ..NetConfig::default()
+    };
+    let (_tmp, server) = start_day7("layer-labels", net);
+    let mut c = client(&server);
+    for query in [Query::Counts, Query::Reciprocity] {
+        assert!(matches!(
+            c.query(10, query).expect("warm"),
+            Response::Ok { .. }
+        ));
+    }
+    let http = admin_get(&server, "/metrics");
+    let (_, body) = http.split_once("\r\n\r\n").expect("header/body split");
+    let mut seen = BTreeSet::new();
+    for line in body
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let name = line.split(['{', ' ']).next().expect("sample name");
+        let declared = match name.split('_').collect::<Vec<_>>()[..] {
+            ["san", layer, _, ..] => layer,
+            _ => panic!("sample {line:?} is outside the san_<layer>_* namespace"),
+        };
+        // Live label values (`read`, `busy`, `+Inf`, …) hold no commas
+        // or quotes, so splitting the label block on `,` is exact here.
+        let labels = line
+            .split_once('{')
+            .and_then(|(_, rest)| rest.rsplit_once('}'))
+            .map_or("", |(labels, _)| labels);
+        let layers: Vec<&str> = labels
+            .split(',')
+            .filter_map(|pair| pair.strip_prefix("layer=\"")?.strip_suffix('"'))
+            .collect();
+        assert_eq!(
+            layers,
+            [declared],
+            "sample {line:?} must carry exactly layer=\"{declared}\""
+        );
+        seen.insert(declared.to_owned());
+    }
+    assert_eq!(
+        seen,
+        BTreeSet::from(["net".to_owned(), "serve".to_owned(), "vault".to_owned()]),
+        "the scrape must cover all three layers"
     );
     server.shutdown();
 }

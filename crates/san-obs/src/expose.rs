@@ -5,7 +5,8 @@
 //!
 //! * Dotted metric names are sanitised to the exposition grammar
 //!   (`[a-zA-Z_:][a-zA-Z0-9_:]*`): `.` and every other invalid byte
-//!   become `_`, and a leading digit gains a `_` prefix. Label names
+//!   become `_`. A leading digit is replaced by `_`, not prefixed
+//!   (`9lives` → `_lives`), and an empty name becomes `_`. Label names
 //!   sanitise the same way minus the colon.
 //! * Label values are escaped per the spec (`\` → `\\`, `"` → `\"`,
 //!   newline → `\n`); `# HELP` text escapes `\` and newlines.
@@ -16,8 +17,7 @@
 //! * Histograms render the **full bucket dump**: one cumulative
 //!   `_bucket{le="..."}` line per power-of-two bucket (inclusive upper
 //!   bounds, since samples are integer nanoseconds), a `+Inf` bucket,
-//!   then `_sum` and `_count`. Because a
-//!   [`HistogramSnapshot`](san_graph::meter::HistogramSnapshot)'s count
+//!   then `_sum` and `_count`. Because a [`HistogramSnapshot`]'s count
 //!   is the sum of its own buckets, `+Inf == _count` holds even while
 //!   recorders race the scrape.
 //!
@@ -27,16 +27,19 @@
 //! histogram label literally named `le` is renamed `le_` so it cannot
 //! forge bucket bounds.
 
-use crate::registry::{MetricRegistry, MetricSink};
+use crate::registry::{observe_labelled, LabelledSource, MetricSink};
 use san_graph::meter::{HistogramSnapshot, BUCKETS};
 use std::collections::HashMap;
 use std::fmt::Write;
 
-/// Encodes one lock-free pass over the registry as Prometheus text
-/// exposition (v0.0.4). Never panics, whatever was registered.
-pub fn encode_prometheus(registry: &MetricRegistry) -> String {
+/// Encodes one lock-free pass over `sources` as Prometheus text
+/// exposition (v0.0.4). Each source is a `(base_labels, source)` pair;
+/// the base labels are stamped in front of every series the source emits
+/// (first occurrence wins, so they dominate the series' own labels).
+/// Never panics, whatever the sources emit.
+pub fn encode_prometheus(sources: &[LabelledSource<'_>]) -> String {
     let mut collector = Collector::default();
-    registry.observe(&mut collector);
+    observe_labelled(sources, &mut collector);
     collector.render()
 }
 
@@ -319,7 +322,6 @@ mod tests {
     use super::*;
     use crate::registry::Observe;
     use san_graph::meter::LatencyHistogram;
-    use std::sync::Arc;
     use std::time::Duration;
 
     struct Sample;
@@ -348,9 +350,7 @@ mod tests {
 
     #[test]
     fn renders_families_headers_and_samples() {
-        let mut b = MetricRegistry::builder();
-        b.register(&[("layer", "net")], Arc::new(Sample));
-        let text = encode_prometheus(&b.build());
+        let text = encode_prometheus(&[(&[("layer", "net")], &Sample)]);
         assert!(text.contains("# HELP san_test_requests Requests seen.\n"));
         assert!(text.contains("# TYPE san_test_requests counter\n"));
         assert!(text.contains("san_test_requests{layer=\"net\",q=\"counts\"} 41\n"));
@@ -368,10 +368,7 @@ mod tests {
 
     #[test]
     fn headers_come_once_even_when_sources_interleave() {
-        let mut b = MetricRegistry::builder();
-        b.register(&[("i", "0")], Arc::new(Sample));
-        b.register(&[("i", "1")], Arc::new(Sample));
-        let text = encode_prometheus(&b.build());
+        let text = encode_prometheus(&[(&[("i", "0")], &Sample), (&[("i", "1")], &Sample)]);
         assert_eq!(text.matches("# TYPE san_test_requests counter").count(), 1);
         assert_eq!(text.matches("# HELP san_test_requests ").count(), 1);
         // Both sources' series are present under the single header.
@@ -402,9 +399,7 @@ mod tests {
                 sink.gauge("san.same", "second", &[], 2.0);
             }
         }
-        let mut b = MetricRegistry::builder();
-        b.register(&[], Arc::new(Clash));
-        let text = encode_prometheus(&b.build());
+        let text = encode_prometheus(&[(&[], &Clash)]);
         assert!(text.contains("# TYPE san_same counter"));
         assert!(!text.contains("# TYPE san_same gauge"));
         assert!(text.contains("san_same 1\n"));
@@ -422,9 +417,7 @@ mod tests {
                 sink.gauge("san.ninf", "ninf", &[], f64::NEG_INFINITY);
             }
         }
-        let mut b = MetricRegistry::builder();
-        b.register(&[], Arc::new(Extremes));
-        let text = encode_prometheus(&b.build());
+        let text = encode_prometheus(&[(&[], &Extremes)]);
         assert!(text.contains(&format!("san_max {}\n", u64::MAX)));
         assert!(text.contains("san_nan NaN\n"));
         assert!(text.contains("san_inf +Inf\n"));

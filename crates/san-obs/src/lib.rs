@@ -7,23 +7,24 @@
 //! process, in three layers:
 //!
 //! * [`registry`] — the [`Observe`] trait (`fn observe(&self, sink:
-//!   &mut dyn MetricSink)`) plus an immutable-after-build
-//!   [`MetricRegistry`]: sources are registered once at startup (each
-//!   with base label pairs), then any number of threads scrape
-//!   concurrently with **no lock anywhere** — a scrape walks the frozen
-//!   source list and reads the same relaxed atomics the meters already
-//!   expose. Metric names are stable dotted paths (`san.vault.io.bytes`,
-//!   `san.serve.cache.hits`, `san.net.requests`); histograms export
-//!   their full power-of-two bucket dump via
-//!   [`HistogramSnapshot`](san_graph::meter::HistogramSnapshot).
+//!   &mut dyn MetricSink)`): a source emits every series it owns into
+//!   the sink by reading the same relaxed atomics the meters already
+//!   expose, so any number of threads scrape concurrently with **no lock
+//!   anywhere**. Metric names are stable dotted paths
+//!   (`san.vault.io.bytes`, `san.serve.cache.hits`, `san.net.requests`);
+//!   histograms export their full power-of-two bucket dump via
+//!   [`HistogramSnapshot`].
 //! * [`expose`] — a hand-written Prometheus text-exposition (v0.0.4)
 //!   encoder, dependency-free per the vendor policy: dotted names are
 //!   sanitised to the exposition grammar, label values escaped,
 //!   `# HELP`/`# TYPE` emitted once per family, histograms rendered as
 //!   cumulative `_bucket{le=...}` series with `+Inf` equal to `_count`
 //!   **by construction** (a snapshot's count is the sum of its own
-//!   buckets). The encoder is total: any registry contents — hostile
-//!   names, saturated `u64::MAX` counters — encode without panicking.
+//!   buckets). [`encode_prometheus`] takes the scrape's sources as a
+//!   slice of `(base_labels, source)` pairs, base labels merged in
+//!   front of each series' own. The encoder is total: any source
+//!   contents — hostile names, saturated `u64::MAX` counters — encode
+//!   without panicking.
 //! * [`trace`] — per-request tracing: a [`RequestTrace`] carries a
 //!   request id through decode → admission → fetch → execute → encode
 //!   with per-stage nanosecond attribution (stages are measured as
@@ -52,7 +53,7 @@ mod observe;
 mod model_tests;
 
 pub use expose::encode_prometheus;
-pub use registry::{MetricRegistry, MetricRegistryBuilder, MetricSink, Observe};
+pub use registry::{LabelledSource, MetricSink, Observe};
 pub use trace::{render_slowlog, FetchClass, RequestTrace, Stage, TraceEntry, TraceRing, STAGES};
 
 pub use san_graph::meter::HistogramSnapshot;

@@ -1,8 +1,10 @@
-//! The metric registry: `Observe` sources registered once, scraped
-//! lock-free forever after.
+//! The metric source traits: an [`Observe`] source emits its series into
+//! a [`MetricSink`]. A scrape hands its sources to
+//! [`encode_prometheus`](crate::encode_prometheus) as a plain slice of
+//! `(base_labels, source)` pairs; reading the meters' relaxed atomics
+//! needs no lock.
 
 use san_graph::meter::HistogramSnapshot;
-use std::sync::Arc;
 
 /// Where an [`Observe`] implementation emits its metrics.
 ///
@@ -42,119 +44,34 @@ pub trait Observe {
     fn observe(&self, sink: &mut dyn MetricSink);
 }
 
-struct Source {
-    /// Base label pairs stamped on every series this source emits.
-    labels: Vec<(String, String)>,
-    source: Arc<dyn Observe + Send + Sync>,
-}
+/// One scrape input: base label pairs stamped in front of every series
+/// the source emits, and the source itself.
+pub type LabelledSource<'a> = (&'a [(&'a str, &'a str)], &'a dyn Observe);
 
-/// Accumulates sources, then freezes into a [`MetricRegistry`].
-#[derive(Default)]
-pub struct MetricRegistryBuilder {
-    sources: Vec<Source>,
-}
-
-impl MetricRegistryBuilder {
-    /// An empty builder.
-    pub fn new() -> MetricRegistryBuilder {
-        MetricRegistryBuilder::default()
-    }
-
-    /// Adds a source; `labels` are stamped onto every series it emits
-    /// (before the series' own labels, which win on name collision at
-    /// the exporter).
-    pub fn register(
-        &mut self,
-        labels: &[(&str, &str)],
-        source: Arc<dyn Observe + Send + Sync>,
-    ) -> &mut MetricRegistryBuilder {
-        self.sources.push(Source {
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            source,
-        });
-        self
-    }
-
-    /// Freezes the source list. After this, scraping is lock-free: the
-    /// registry is immutable and every read goes through the sources'
-    /// own atomics.
-    pub fn build(self) -> MetricRegistry {
-        MetricRegistry {
-            sources: self.sources.into_boxed_slice(),
-        }
-    }
-}
-
-/// An immutable, shareable set of metric sources.
-///
-/// Built once at startup, then scraped concurrently by any number of
-/// threads with no lock: [`observe`](MetricRegistry::observe) walks the
-/// frozen slice and each source reads its relaxed atomic meters. A
-/// scrape is one consistent *pass* — each histogram is a self-consistent
-/// snapshot, counters are point reads — which is the strongest guarantee
-/// the underlying meters themselves offer.
-pub struct MetricRegistry {
-    sources: Box<[Source]>,
-}
-
-impl MetricRegistry {
-    /// Starts building a registry.
-    pub fn builder() -> MetricRegistryBuilder {
-        MetricRegistryBuilder::new()
-    }
-
-    /// Number of registered sources.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
-    /// Emits every series of every source into `sink`, each source's
-    /// base labels merged in front of the series' own labels.
-    pub fn observe(&self, sink: &mut dyn MetricSink) {
-        for source in self.sources.iter() {
-            if source.labels.is_empty() {
-                source.source.observe(sink);
-            } else {
-                let mut labeled = BaseLabelSink {
-                    base: &source.labels,
-                    inner: sink,
-                };
-                source.source.observe(&mut labeled);
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for MetricRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricRegistry")
-            .field("sources", &self.sources.len())
-            .finish_non_exhaustive()
+/// Walks every `(base_labels, source)` pair into `sink`, in order, each
+/// source's base labels merged in front of its series' own labels. One
+/// pass is one consistent scrape as far as the meters allow: each
+/// histogram is a self-consistent snapshot, counters are point reads.
+pub(crate) fn observe_labelled(sources: &[LabelledSource<'_>], sink: &mut dyn MetricSink) {
+    for (base, source) in sources {
+        source.observe(&mut BaseLabelSink { base, inner: sink });
     }
 }
 
 /// Sink adapter that prepends a source's base labels to every series.
 struct BaseLabelSink<'a> {
-    base: &'a [(String, String)],
+    base: &'a [(&'a str, &'a str)],
     inner: &'a mut dyn MetricSink,
 }
 
 /// Base labels first, series labels after (exporters resolve name
 /// collisions first-wins, so base labels dominate).
 fn merged<'s>(
-    base: &'s [(String, String)],
+    base: &[(&'s str, &'s str)],
     labels: &[(&'s str, &'s str)],
 ) -> Vec<(&'s str, &'s str)> {
     let mut out = Vec::with_capacity(base.len() + labels.len());
-    out.extend(base.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    out.extend_from_slice(base);
     out.extend_from_slice(labels);
     out
 }
@@ -255,14 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_merges_base_labels_in_front() {
-        let mut b = MetricRegistry::builder();
-        b.register(&[("layer", "net")], Arc::new(OneCounter(7)));
-        b.register(&[], Arc::new(OneCounter(9)));
-        let reg = b.build();
-        assert_eq!(reg.len(), 2);
+    fn base_labels_merge_in_front() {
         let mut sink = RecordingSink::default();
-        reg.observe(&mut sink);
+        observe_labelled(
+            &[(&[("layer", "net")], &OneCounter(7)), (&[], &OneCounter(9))],
+            &mut sink,
+        );
         assert_eq!(sink.rows.len(), 2);
         assert_eq!(sink.rows[0].0, "test.one");
         assert_eq!(
@@ -282,11 +197,8 @@ mod tests {
         let h = LatencyHistogram::new();
         h.record(std::time::Duration::from_micros(3));
         h.record(std::time::Duration::from_micros(5));
-        let mut b = MetricRegistry::builder();
-        b.register(&[("layer", "vault")], Arc::new(OneHistogram(h)));
-        let reg = b.build();
         let mut sink = RecordingSink::default();
-        reg.observe(&mut sink);
+        observe_labelled(&[(&[("layer", "vault")], &OneHistogram(h))], &mut sink);
         assert_eq!(sink.rows[0].2, "hist:2");
         assert_eq!(
             sink.rows[0].1,
@@ -295,14 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_is_fine() {
-        let reg = MetricRegistry::builder().build();
-        assert!(reg.is_empty());
+    fn empty_source_list_is_fine() {
         let mut sink = RecordingSink::default();
-        reg.observe(&mut sink);
+        observe_labelled(&[], &mut sink);
         assert!(sink.rows.is_empty());
+        assert_eq!(crate::encode_prometheus(&[]), "");
     }
-
-    const fn assert_send_sync<T: Send + Sync>() {}
-    const _: () = assert_send_sync::<MetricRegistry>();
 }

@@ -126,11 +126,11 @@ impl FetchClass {
 
 /// A live trace being carried through the pipeline by one worker.
 ///
-/// Marks are raw [`clock`](crate::clock) ticks (TSC on x86_64); the
-/// tick→nanosecond conversion is deferred to [`finish`]
-/// (RequestTrace::finish) so the per-stage hot path is one counter
-/// read and one saturating subtraction — that is what keeps tracing
-/// under the 5% overhead gate on a loopback round trip.
+/// Marks are raw trace-clock ticks (TSC on x86_64); the tick→nanosecond
+/// conversion is deferred to [`finish`](RequestTrace::finish) so the
+/// per-stage hot path is one counter read and one saturating
+/// subtraction — that is what keeps tracing under the 5% overhead gate
+/// on a loopback round trip.
 #[derive(Debug)]
 pub struct RequestTrace {
     request_id: u64,

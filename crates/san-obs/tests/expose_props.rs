@@ -1,5 +1,5 @@
 //! Property lockdown for the Prometheus text-exposition encoder: any
-//! registry contents — hostile metric/label names, spec-significant
+//! source contents — hostile metric/label names, spec-significant
 //! characters in label values, saturated `u64::MAX` counters, extreme
 //! histogram samples — encode to text that a line-grammar parser accepts
 //! (`# HELP`/`# TYPE` once per family in that order, samples contiguous
@@ -11,13 +11,12 @@
 
 use proptest::prelude::*;
 use san_graph::meter::LatencyHistogram;
-use san_obs::{encode_prometheus, MetricRegistry, MetricSink, Observe};
-use std::sync::Arc;
+use san_obs::{encode_prometheus, MetricSink, Observe};
 use std::time::Duration;
 
 // ---------------------------------------------------------------- inputs
 
-/// One metric emission, driven through a real registry source.
+/// One metric emission, driven through a real `Observe` source.
 #[derive(Debug, Clone)]
 enum Emit {
     Counter(u64),
@@ -58,10 +57,9 @@ impl Observe for Source {
     }
 }
 
-fn registry_of(specs: Vec<Spec>, base: &[(&str, &str)]) -> MetricRegistry {
-    let mut b = MetricRegistry::builder();
-    b.register(base, Arc::new(Source(specs)));
-    b.build()
+/// Encodes `specs` as the scrape's single source, under `base` labels.
+fn encode_one(specs: Vec<Spec>, base: &[(&str, &str)]) -> String {
+    encode_prometheus(&[(base, &Source(specs))])
 }
 
 /// Strings over a palette that includes every spec-significant byte.
@@ -326,7 +324,7 @@ fn assert_histogram_invariants(family: &Family) {
 // --------------------------------------------------------------- the props
 
 proptest! {
-    /// Whatever is registered — hostile names, label names, values,
+    /// Whatever a source emits — hostile names, label names, values,
     /// saturated counters, extreme histogram samples — the encoder
     /// neither panics nor emits a line the grammar parser rejects.
     #[test]
@@ -334,8 +332,7 @@ proptest! {
         specs in prop::collection::vec(arb_hostile_spec(), 0..8),
         base_value in arb_hostile_string(),
     ) {
-        let registry = registry_of(specs, &[("layer", base_value.as_str())]);
-        let text = encode_prometheus(&registry);
+        let text = encode_one(specs, &[("layer", base_value.as_str())]);
         let families = parse_exposition(&text);
         for family in &families {
             assert!(!family.samples.is_empty(), "headers imply samples");
@@ -366,8 +363,7 @@ proptest! {
                 emit: Emit::Histogram(samples.clone()),
             },
         ];
-        let registry = registry_of(specs, &[("layer", "prop")]);
-        let text = encode_prometheus(&registry);
+        let text = encode_one(specs, &[("layer", "prop")]);
         let families = parse_exposition(&text);
 
         let counter = families

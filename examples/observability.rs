@@ -1,5 +1,5 @@
 //! Observability: run the TCP serving stack with the `san-obs` wiring
-//! live — a unified metric registry over the vault/serve/net layers,
+//! live — one scrape over the vault/serve/net layers' meters,
 //! the admin HTTP listener, the in-protocol SANW `stats` query, and
 //! the per-request slow-query ring — then scrape it both ways and
 //! show the per-stage latency attribution.
@@ -104,7 +104,8 @@ fn main() {
     }
 
     // Scrape surface 2: the admin HTTP listener — what curl/Prometheus
-    // sees. Same registry, so the family set is identical.
+    // sees. Same encoder over the same meters, so the family set is
+    // identical.
     let mut http = std::net::TcpStream::connect(admin).expect("connect admin");
     http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
         .expect("send");

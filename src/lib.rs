@@ -47,9 +47,10 @@
 //! `san-bench` (`BENCH_NET.json` records the loopback p50/p99/p999).
 //!
 //! The serving stack is observable end to end via [`obs`] (`san-obs`):
-//! a lock-free [`obs::MetricRegistry`] unifies the vault, serve, and
-//! net layers' meters under stable dotted names; a hand-written
-//! Prometheus text-exposition encoder feeds both the server's admin
+//! the vault, serve, and net layers' meters implement [`obs::Observe`]
+//! under stable dotted names and are read lock-free on every scrape; the
+//! hand-written Prometheus text-exposition encoder
+//! ([`obs::encode_prometheus`]) feeds both the server's admin
 //! HTTP listener (`GET /metrics`, `GET /slowlog`) and the in-protocol
 //! SANW `stats` query; and per-request traces with per-stage nanosecond
 //! attribution land in a lock-free slow-query ring
