@@ -19,20 +19,30 @@
 //!
 //! Two performance-critical pieces live here:
 //!
-//! * [`AttachModel::log_likelihood`] replays a link-arrival trace and
-//!   computes the exact log-likelihood of the observed targets (the Fig. 15
-//!   grid). For LAPA the partition function decomposes as
-//!   `Σ_v (d+1)^α + β·Σ_{x∈Γa(u)} S_x` with one accumulator `S_x` per
-//!   attribute, turning the paper's "costly linear step" (§7) into an
-//!   `O(|Γa(u)|)` update;
+//! * [`AttachModel::log_likelihood_grid`] replays a link-arrival trace
+//!   **once** and computes the exact log-likelihood of the observed targets
+//!   under every kernel of a grid (Fig. 15 scores 52). The replay keeps one
+//!   set of accumulators per distinct `α`, shared by every cell with that
+//!   `α`: the cached degree term `(d_in(v)+1)^α` of each node,
+//!   `S_global = Σ_v (d_in(v)+1)^α`, and one `S_x` per attribute `x` over
+//!   its members. PA and uniform partitions are then `O(1)` per cell and
+//!   LAPA's is `S_global + β·Σ_{x∈Γa(u)} S_x` minus `u`'s own term, which
+//!   turns the paper's "costly linear step" (§7) into an `O(|Γa(u)|)`
+//!   update. PAPA with `β ≠ 0` needs the candidates `v` sharing
+//!   `a(u,v) ≥ 1` attributes with the source: they are counted once per
+//!   link into a dense epoch-stamped array and grouped by overlap into
+//!   `C_α[a] = Σ_{v : a(u,v) = a} (d_in(v)+1)^α`, so each cell's partition
+//!   is `S_global − (d_in(u)+1)^α + Σ_a C_α[a]·a^β`. The other families
+//!   sum exactly as a one-model replay would. A cell's value never depends
+//!   on the grid it is scored in, and [`AttachModel::log_likelihood`] is
+//!   the one-cell grid;
 //! * [`LapaSampler`] draws exact LAPA(α = 1) targets in `O(|Γa(u)|)` via a
 //!   mixture-of-multisets representation — the practical heuristic the
 //!   paper sketches in §7, implemented exactly.
 
 use crate::error::ModelError;
-use san_graph::{San, SanRead, SanTimeline, SocialId};
+use san_graph::{San, SanEvent, SanRead, SanTimeline, SocialId};
 use san_stats::SplitRng;
-use std::collections::HashMap;
 
 /// An attachment kernel `f(u, v)`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -64,13 +74,17 @@ impl AttachModel {
     /// The kernel value `f(u, v)` given the target's in-degree and the
     /// common-attribute count (degree smoothed by +1; see module docs).
     pub fn weight(&self, in_degree: u64, common_attrs: usize) -> f64 {
-        let d = (in_degree + 1) as f64;
+        self.kernel(((in_degree + 1) as f64).powf(self.alpha()), common_attrs)
+    }
+
+    /// The kernel value given the smoothed degree term `dpow = (d_in+1)^α`.
+    fn kernel(&self, dpow: f64, common_attrs: usize) -> f64 {
         let a = common_attrs as f64;
         match *self {
             AttachModel::Uniform => 1.0,
-            AttachModel::Pa { alpha } => d.powf(alpha),
-            AttachModel::Papa { alpha, beta } => d.powf(alpha) * (1.0 + a.powf(beta)),
-            AttachModel::Lapa { alpha, beta } => d.powf(alpha) * (1.0 + beta * a),
+            AttachModel::Pa { .. } => dpow,
+            AttachModel::Papa { beta, .. } => dpow * (1.0 + a.powf(beta)),
+            AttachModel::Lapa { beta, .. } => dpow * (1.0 + beta * a),
         }
     }
 
@@ -85,104 +99,71 @@ impl AttachModel {
     }
 
     /// Exact log-likelihood of the social-link arrivals in `timeline` under
-    /// this kernel.
-    ///
-    /// The trace is replayed event by event; for each observed link
-    /// `u → v` the term `ln f(u,v) − ln Σ_{v'≠u} f(u,v')` is accumulated
-    /// against the network state *before* the link. Node/attribute events
-    /// update the partition-function accumulators incrementally.
+    /// this kernel: the one-cell case of
+    /// [`log_likelihood_grid`](AttachModel::log_likelihood_grid).
     pub fn log_likelihood(&self, timeline: &SanTimeline) -> Result<f64, ModelError> {
-        use san_graph::SanEvent;
+        let cells = Self::log_likelihood_grid(timeline, std::slice::from_ref(self))?;
+        Ok(cells[0])
+    }
+
+    /// Exact log-likelihoods of the social-link arrivals in `timeline`
+    /// under every kernel of `models`, in one replay (`result[i]` belongs to
+    /// `models[i]`).
+    ///
+    /// For each observed link `u → v` every cell accumulates
+    /// `ln f(u,v) − ln Σ_{v'≠u} f(u,v')` against the network state *before*
+    /// the link; node and attribute events update the partition-function
+    /// accumulators incrementally (see the module docs). A cell's value
+    /// never depends on the other cells of the grid.
+    ///
+    /// # Errors
+    /// * [`ModelError::InvalidParameter`] for a non-finite `α` or `β`, or a
+    ///   negative `β` (PAPA, LAPA);
+    /// * [`ModelError::EmptyTrace`] when the trace has no social link;
+    /// * [`ModelError::MalformedTrace`] at the first social or attribute
+    ///   link event that names an unknown node, repeats an existing link,
+    ///   or (social links) is a self-loop — checked before the event
+    ///   touches any accumulator.
+    pub fn log_likelihood_grid(
+        timeline: &SanTimeline,
+        models: &[AttachModel],
+    ) -> Result<Vec<f64>, ModelError> {
+        for model in models {
+            model.validate()?;
+        }
         if timeline.social_link_arrivals().next().is_none() {
             return Err(ModelError::EmptyTrace);
         }
-        let alpha = self.alpha();
-        let mut san = San::new();
-        // S_global = Σ_v (d_in(v)+1)^α ; s_attr[x] = Σ_{v ∈ members(x)} (d_in(v)+1)^α.
-        let mut s_global = 0.0f64;
-        let mut s_attr: Vec<f64> = Vec::new();
-        let mut ll = 0.0f64;
-
-        for ev in timeline.events() {
-            match *ev {
-                SanEvent::SocialNode { .. } => {
-                    san.add_social_node();
-                    s_global += 1.0; // (0+1)^alpha = 1
-                }
-                SanEvent::AttrNode { ty, .. } => {
-                    san.add_attr_node(ty);
-                    s_attr.push(0.0);
-                }
-                SanEvent::AttrLink { user, attr, .. } => {
-                    let w = ((san.in_degree(user) + 1) as f64).powf(alpha);
-                    san.add_attr_link(user, attr);
-                    s_attr[attr.index()] += w;
-                }
-                SanEvent::SocialLink { src, dst, .. } => {
-                    // Numerator.
-                    let a_uv = san.common_attrs(src, dst);
-                    let w_num = self.weight(san.in_degree(dst) as u64, a_uv);
-                    // Denominator over all v != src.
-                    let denom = self.partition(&san, src, s_global, &s_attr);
-                    debug_assert!(denom > 0.0);
-                    ll += w_num.ln() - denom.ln();
-                    // Apply the link and update accumulators.
-                    let old_d = san.in_degree(dst) as f64;
-                    san.add_social_link(src, dst);
-                    let delta = (old_d + 2.0).powf(alpha) - (old_d + 1.0).powf(alpha);
-                    s_global += delta;
-                    for &x in san.attrs_of(dst) {
-                        s_attr[x.index()] += delta;
-                    }
-                }
-            }
+        let mut replay = GridReplay::new(models);
+        for (event, ev) in timeline.events().iter().enumerate() {
+            replay
+                .apply(ev)
+                .ok_or(ModelError::MalformedTrace { event })?;
         }
-        Ok(ll)
+        Ok(replay.cells.iter().map(|c| c.ll).collect())
     }
 
-    /// Partition function `Σ_{v ≠ u} f(u, v)` given the maintained
-    /// accumulators.
-    fn partition(&self, san: &San, u: SocialId, s_global: f64, s_attr: &[f64]) -> f64 {
-        let self_w = |base: f64| base; // readability below
-        match *self {
-            AttachModel::Uniform => (san.num_social_nodes() - 1) as f64,
-            AttachModel::Pa { alpha } => {
-                s_global - self_w(((san.in_degree(u) + 1) as f64).powf(alpha))
-            }
-            AttachModel::Lapa { alpha, beta } => {
-                // Σ (d+1)^α + β Σ_{x ∈ Γa(u)} S_x, minus u's own term
-                // (u shares all of its attr_degree(u) attributes with itself).
-                let mut total = s_global;
-                for &x in san.attrs_of(u) {
-                    total += beta * s_attr[x.index()];
-                }
-                let du = ((san.in_degree(u) + 1) as f64).powf(alpha);
-                total - du * (1.0 + beta * san.attr_degree(u) as f64)
-            }
-            AttachModel::Papa { alpha, beta } => {
-                if beta == 0.0 {
-                    // 1 + a^0 = 2 for every pair.
-                    let du = ((san.in_degree(u) + 1) as f64).powf(alpha);
-                    return 2.0 * (s_global - du);
-                }
-                // Enumerate candidates sharing >= 1 attribute with u.
-                let mut shared: HashMap<SocialId, usize> = HashMap::new();
-                for &x in san.attrs_of(u) {
-                    for &v in san.members_of(x) {
-                        if v != u {
-                            *shared.entry(v).or_insert(0) += 1;
-                        }
-                    }
-                }
-                let du = ((san.in_degree(u) + 1) as f64).powf(alpha);
-                let mut total = s_global - du; // the Σ (d+1)^α · 1 part
-                for (&v, &a) in &shared {
-                    let dv = ((san.in_degree(v) + 1) as f64).powf(alpha);
-                    total += dv * (a as f64).powf(beta);
-                }
-                total
+    /// Checks the kernel parameters: `α` and `β` finite, `β ≥ 0` (the
+    /// domain [`LapaSampler::new`] enforces).
+    fn validate(&self) -> Result<(), ModelError> {
+        let alpha = self.alpha();
+        if !alpha.is_finite() {
+            return Err(ModelError::InvalidParameter {
+                name: "alpha",
+                value: alpha,
+                constraint: "must be finite",
+            });
+        }
+        if let AttachModel::Papa { beta, .. } | AttachModel::Lapa { beta, .. } = *self {
+            if !(beta.is_finite() && beta >= 0.0) {
+                return Err(ModelError::InvalidParameter {
+                    name: "beta",
+                    value: beta,
+                    constraint: "must be finite and >= 0",
+                });
             }
         }
+        Ok(())
     }
 
     /// Exact target sampling by linear scan over all nodes — O(n), used for
@@ -205,6 +186,241 @@ impl AttachModel {
         }
         let idx = rng.weighted_index(&weights)?;
         Some(ids[idx])
+    }
+}
+
+/// One cell of a likelihood grid.
+struct Cell {
+    model: AttachModel,
+    /// Index of the cell's `α` in [`GridReplay::alphas`].
+    slot: usize,
+    /// Running log-likelihood.
+    ll: f64,
+    /// `a^β` indexed by overlap `a`, grown on demand (PAPA with `β ≠ 0`).
+    pow_overlap: Vec<f64>,
+}
+
+/// The state one replay shares between every cell of a grid. Per-`α`
+/// arrays are laid out with the `k = alphas.len()` slots of one node (or
+/// attribute, or overlap) contiguous: `dpow[v·k + slot]`.
+struct GridReplay {
+    san: San,
+    /// The distinct `α` values of the grid, one accumulator slot each.
+    alphas: Vec<f64>,
+    /// `(d_in(v)+1)^α` per social node and slot.
+    dpow: Vec<f64>,
+    /// `S_global = Σ_v (d_in(v)+1)^α` per slot.
+    s_global: Vec<f64>,
+    /// `S_x = Σ_{v ∈ members(x)} (d_in(v)+1)^α` per attribute and slot.
+    s_attr: Vec<f64>,
+    cells: Vec<Cell>,
+    /// Whether some cell is PAPA with `β ≠ 0` and needs the candidate
+    /// groups below.
+    group: bool,
+    /// Link epoch at which each node was last counted as a candidate.
+    stamp: Vec<u32>,
+    /// Attributes each candidate shares with the source; valid where
+    /// `stamp == epoch`.
+    overlap: Vec<u32>,
+    epoch: u32,
+    /// The candidates of the current link, in first-visit order.
+    touched: Vec<SocialId>,
+    /// `C_α[a] = Σ_{v : a(u,v) = a} (d_in(v)+1)^α` per overlap and slot.
+    by_overlap: Vec<f64>,
+}
+
+impl GridReplay {
+    fn new(models: &[AttachModel]) -> Self {
+        let mut alphas: Vec<f64> = Vec::new();
+        let cells = models
+            .iter()
+            .map(|&model| {
+                let alpha = model.alpha();
+                let slot = match alphas.iter().position(|a| a.to_bits() == alpha.to_bits()) {
+                    Some(slot) => slot,
+                    None => {
+                        alphas.push(alpha);
+                        alphas.len() - 1
+                    }
+                };
+                Cell {
+                    model,
+                    slot,
+                    ll: 0.0,
+                    pow_overlap: Vec::new(),
+                }
+            })
+            .collect();
+        let group = models
+            .iter()
+            .any(|m| matches!(*m, AttachModel::Papa { beta, .. } if beta != 0.0));
+        GridReplay {
+            san: San::new(),
+            s_global: vec![0.0; alphas.len()],
+            alphas,
+            dpow: Vec::new(),
+            s_attr: Vec::new(),
+            cells,
+            group,
+            stamp: Vec::new(),
+            overlap: Vec::new(),
+            epoch: 0,
+            touched: Vec::new(),
+            by_overlap: Vec::new(),
+        }
+    }
+
+    /// Applies one event; `None` when a link event is malformed (unknown
+    /// node, self-loop or duplicate), before any state is touched.
+    fn apply(&mut self, ev: &SanEvent) -> Option<()> {
+        let k = self.alphas.len();
+        match *ev {
+            SanEvent::SocialNode { .. } => {
+                self.san.add_social_node();
+                // (0+1)^α = 1.
+                self.s_global.iter_mut().for_each(|s| *s += 1.0);
+                self.dpow.resize(self.dpow.len() + k, 1.0);
+                if self.group {
+                    self.stamp.push(0);
+                    self.overlap.push(0);
+                }
+            }
+            SanEvent::AttrNode { ty, .. } => {
+                self.san.add_attr_node(ty);
+                self.s_attr.resize(self.s_attr.len() + k, 0.0);
+            }
+            SanEvent::AttrLink { user, attr, .. } => {
+                let known = user.index() < self.san.num_social_nodes()
+                    && attr.index() < self.san.num_attr_nodes();
+                if !known || !self.san.add_attr_link(user, attr) {
+                    return None;
+                }
+                let w = &self.dpow[user.index() * k..][..k];
+                for (s, w) in self.s_attr[attr.index() * k..][..k].iter_mut().zip(w) {
+                    *s += w;
+                }
+            }
+            SanEvent::SocialLink { src, dst, .. } => {
+                let n = self.san.num_social_nodes();
+                if src.index() >= n
+                    || dst.index() >= n
+                    || src == dst
+                    || self.san.has_social_link(src, dst)
+                {
+                    return None;
+                }
+                self.score_link(src, dst);
+                self.add_link(src, dst);
+            }
+        }
+        Some(())
+    }
+
+    /// Adds every cell's `ln f(u,v) − ln Σ_{v'≠u} f(u,v')` for the link
+    /// `u → v` against the current state.
+    fn score_link(&mut self, u: SocialId, v: SocialId) {
+        if self.group {
+            self.group_candidates(u);
+        }
+        let k = self.alphas.len();
+        let a_uv = self.san.common_attrs(u, v);
+        let attrs = self.san.attrs_of(u);
+        let others = (self.san.num_social_nodes() - 1) as f64;
+        for cell in &mut self.cells {
+            let s = cell.slot;
+            let du = self.dpow[u.index() * k + s];
+            let s_global = self.s_global[s];
+            let num = cell.model.kernel(self.dpow[v.index() * k + s], a_uv);
+            let denom = match cell.model {
+                AttachModel::Uniform => others,
+                AttachModel::Pa { .. } => s_global - du,
+                AttachModel::Lapa { beta, .. } => {
+                    // Σ (d+1)^α + β Σ_{x ∈ Γa(u)} S_x, minus u's own term
+                    // (u shares all of its attributes with itself).
+                    let mut total = s_global;
+                    for &x in attrs {
+                        total += beta * self.s_attr[x.index() * k + s];
+                    }
+                    total - du * (1.0 + beta * attrs.len() as f64)
+                }
+                // 1 + a^0 = 2 for every pair.
+                AttachModel::Papa { beta: 0.0, .. } => 2.0 * (s_global - du),
+                AttachModel::Papa { beta, .. } => {
+                    // Σ (d+1)^α · 1 over v ≠ u, plus Σ_a C_α[a]·a^β over the
+                    // candidates sharing a ≥ 1 attributes with u.
+                    let pow = &mut cell.pow_overlap;
+                    while pow.len() <= attrs.len() {
+                        pow.push((pow.len() as f64).powf(beta));
+                    }
+                    let mut total = s_global - du;
+                    for (a, &p) in pow.iter().enumerate().take(attrs.len() + 1).skip(1) {
+                        let c = self.by_overlap[a * k + s];
+                        if c != 0.0 {
+                            total += c * p;
+                        }
+                    }
+                    total
+                }
+            };
+            debug_assert!(denom > 0.0);
+            cell.ll += num.ln() - denom.ln();
+        }
+    }
+
+    /// Counts, in one pass over `Γa(u)`'s members, the attributes each
+    /// candidate `v ≠ u` shares with `u`, then fills `C_α[a]` for every
+    /// slot.
+    fn group_candidates(&mut self, u: SocialId) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.touched.clear();
+        for &x in self.san.attrs_of(u) {
+            for &v in self.san.members_of(x) {
+                if v == u {
+                    continue;
+                }
+                let i = v.index();
+                if self.stamp[i] == self.epoch {
+                    self.overlap[i] += 1;
+                } else {
+                    self.stamp[i] = self.epoch;
+                    self.overlap[i] = 1;
+                    self.touched.push(v);
+                }
+            }
+        }
+        let k = self.alphas.len();
+        self.by_overlap.clear();
+        self.by_overlap
+            .resize((self.san.attr_degree(u) + 1) * k, 0.0);
+        for &v in &self.touched {
+            let a = self.overlap[v.index()] as usize;
+            let w = &self.dpow[v.index() * k..][..k];
+            for (c, w) in self.by_overlap[a * k..][..k].iter_mut().zip(w) {
+                *c += w;
+            }
+        }
+    }
+
+    /// Inserts `u → v` and moves every slot's accumulators by `v`'s degree
+    /// term change `(d+2)^α − (d+1)^α`.
+    fn add_link(&mut self, u: SocialId, v: SocialId) {
+        let k = self.alphas.len();
+        let d_next = (self.san.in_degree(v) + 2) as f64;
+        self.san.add_social_link(u, v);
+        for (s, &alpha) in self.alphas.iter().enumerate() {
+            let next = d_next.powf(alpha);
+            let dpow = &mut self.dpow[v.index() * k + s];
+            let delta = next - *dpow;
+            *dpow = next;
+            self.s_global[s] += delta;
+            for &x in self.san.attrs_of(v) {
+                self.s_attr[x.index() * k + s] += delta;
+            }
+        }
     }
 }
 
@@ -339,6 +555,7 @@ impl LapaSampler {
 mod tests {
     use super::*;
     use san_graph::{AttrType, TimelineBuilder};
+    use std::collections::HashMap;
 
     #[test]
     fn weights_reduce_as_claimed() {
@@ -454,11 +671,12 @@ mod tests {
 
     #[test]
     fn likelihood_matches_bruteforce() {
-        // Cross-check the incremental partition function against a naive
-        // O(n) recomputation on a small trace, for all kernel families.
+        // Cross-check the incremental partition functions against a naive
+        // O(n) recomputation on a small trace: the whole Fig. 15 grid plus
+        // off-grid exponents, in one call.
         let tl = attribute_trace();
-        for model in [
-            AttachModel::Uniform,
+        let mut models = fig15_grid();
+        models.extend([
             AttachModel::Pa { alpha: 1.3 },
             AttachModel::Lapa {
                 alpha: 0.7,
@@ -466,11 +684,12 @@ mod tests {
             },
             AttachModel::Papa {
                 alpha: 1.0,
-                beta: 2.0,
+                beta: 2.5,
             },
-        ] {
-            let fast = model.log_likelihood(&tl).unwrap();
-            let slow = bruteforce_ll(&model, &tl);
+        ]);
+        let grid = AttachModel::log_likelihood_grid(&tl, &models).unwrap();
+        for (model, &fast) in models.iter().zip(&grid) {
+            let slow = bruteforce_ll(model, &tl);
             assert!(
                 (fast - slow).abs() < 1e-6,
                 "{model:?}: fast={fast} slow={slow}"
@@ -479,7 +698,6 @@ mod tests {
     }
 
     fn bruteforce_ll(model: &AttachModel, tl: &SanTimeline) -> f64 {
-        use san_graph::SanEvent;
         let mut san = San::new();
         let mut ll = 0.0;
         for ev in tl.events() {
@@ -506,6 +724,292 @@ mod tests {
             }
         }
         ll
+    }
+
+    /// The per-cell replay `log_likelihood` ran before the grid: one fresh
+    /// `San` and one set of accumulators per model, and PAPA's partition
+    /// summed over a `HashMap` of candidates. Kept as the reference the
+    /// grid is checked against.
+    fn per_cell_reference(model: &AttachModel, timeline: &SanTimeline) -> f64 {
+        let alpha = model.alpha();
+        let mut san = San::new();
+        let mut s_global = 0.0f64;
+        let mut s_attr: Vec<f64> = Vec::new();
+        let mut ll = 0.0f64;
+        for ev in timeline.events() {
+            match *ev {
+                SanEvent::SocialNode { .. } => {
+                    san.add_social_node();
+                    s_global += 1.0;
+                }
+                SanEvent::AttrNode { ty, .. } => {
+                    san.add_attr_node(ty);
+                    s_attr.push(0.0);
+                }
+                SanEvent::AttrLink { user, attr, .. } => {
+                    let w = ((san.in_degree(user) + 1) as f64).powf(alpha);
+                    san.add_attr_link(user, attr);
+                    s_attr[attr.index()] += w;
+                }
+                SanEvent::SocialLink { src, dst, .. } => {
+                    let a_uv = san.common_attrs(src, dst);
+                    let w_num = model.weight(san.in_degree(dst) as u64, a_uv);
+                    let denom = reference_partition(model, &san, src, s_global, &s_attr);
+                    ll += w_num.ln() - denom.ln();
+                    let old_d = san.in_degree(dst) as f64;
+                    san.add_social_link(src, dst);
+                    let delta = (old_d + 2.0).powf(alpha) - (old_d + 1.0).powf(alpha);
+                    s_global += delta;
+                    for &x in san.attrs_of(dst) {
+                        s_attr[x.index()] += delta;
+                    }
+                }
+            }
+        }
+        ll
+    }
+
+    fn reference_partition(
+        model: &AttachModel,
+        san: &San,
+        u: SocialId,
+        s_global: f64,
+        s_attr: &[f64],
+    ) -> f64 {
+        match *model {
+            AttachModel::Uniform => (san.num_social_nodes() - 1) as f64,
+            AttachModel::Pa { alpha } => s_global - ((san.in_degree(u) + 1) as f64).powf(alpha),
+            AttachModel::Lapa { alpha, beta } => {
+                let mut total = s_global;
+                for &x in san.attrs_of(u) {
+                    total += beta * s_attr[x.index()];
+                }
+                let du = ((san.in_degree(u) + 1) as f64).powf(alpha);
+                total - du * (1.0 + beta * san.attr_degree(u) as f64)
+            }
+            AttachModel::Papa { alpha, beta } => {
+                let du = ((san.in_degree(u) + 1) as f64).powf(alpha);
+                if beta == 0.0 {
+                    return 2.0 * (s_global - du);
+                }
+                let mut shared: HashMap<SocialId, usize> = HashMap::new();
+                for &x in san.attrs_of(u) {
+                    for &v in san.members_of(x) {
+                        if v != u {
+                            *shared.entry(v).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let mut total = s_global - du;
+                for (&v, &a) in &shared {
+                    let dv = ((san.in_degree(v) + 1) as f64).powf(alpha);
+                    total += dv * (a as f64).powf(beta);
+                }
+                total
+            }
+        }
+    }
+
+    /// The 52 cells of Fig. 15: PA(α=1), uniform, then the PAPA and LAPA
+    /// `(α, β)` panels row by row.
+    fn fig15_grid() -> Vec<AttachModel> {
+        let alphas = [0.0, 0.5, 1.0, 1.5, 2.0];
+        let mut models = vec![AttachModel::Pa { alpha: 1.0 }, AttachModel::Uniform];
+        for &alpha in &alphas {
+            for beta in [0.0, 2.0, 4.0, 6.0, 8.0] {
+                models.push(AttachModel::Papa { alpha, beta });
+            }
+        }
+        for &alpha in &alphas {
+            for beta in [0.0, 10.0, 100.0, 200.0, 500.0] {
+                models.push(AttachModel::Lapa { alpha, beta });
+            }
+        }
+        models
+    }
+
+    #[test]
+    fn grid_matches_per_cell_reference() {
+        use crate::model::{SanModel, SanModelParams};
+        let models = fig15_grid();
+        assert_eq!(models.len(), 52);
+        for seed in [1u64, 2, 3] {
+            let (tl, _) = SanModel::new(SanModelParams::paper_default(30, 8))
+                .unwrap()
+                .generate(seed);
+            let grid = AttachModel::log_likelihood_grid(&tl, &models).unwrap();
+            for (model, &got) in models.iter().zip(&grid) {
+                let want = per_cell_reference(model, &tl);
+                match *model {
+                    AttachModel::Papa { beta, .. } if beta != 0.0 => assert!(
+                        ((got - want) / want).abs() <= 1e-12,
+                        "seed {seed} {model:?}: grid={got} reference={want}"
+                    ),
+                    _ => assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed} {model:?}: grid={got} reference={want}"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The 4-node trace `0→1, 0→1, 2→3, 3→2` with the duplicate link as a
+    /// second event.
+    fn trace_with(links: &[(u32, u32)]) -> SanTimeline {
+        let mut events = vec![SanEvent::SocialNode { day: 0 }; 4];
+        events.extend(links.iter().map(|&(src, dst)| SanEvent::SocialLink {
+            day: 0,
+            src: SocialId(src),
+            dst: SocialId(dst),
+        }));
+        SanTimeline::from_events(events)
+    }
+
+    #[test]
+    fn duplicate_link_event_rejected() {
+        let pa = AttachModel::Pa { alpha: 1.0 };
+        let tl = trace_with(&[(0, 1), (0, 1), (2, 3), (3, 2)]);
+        assert_eq!(
+            pa.log_likelihood(&tl),
+            Err(ModelError::MalformedTrace { event: 5 })
+        );
+        // Without the duplicate the trace scores as the brute force does.
+        let clean = trace_with(&[(0, 1), (2, 3), (3, 2)]);
+        let ll = pa.log_likelihood(&clean).unwrap();
+        assert!((ll - bruteforce_ll(&pa, &clean)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn self_loop_link_event_rejected() {
+        let tl = trace_with(&[(0, 1), (2, 2)]);
+        for model in fig15_grid() {
+            assert_eq!(
+                model.log_likelihood(&tl),
+                Err(ModelError::MalformedTrace { event: 5 })
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_node_link_event_rejected() {
+        let tl = trace_with(&[(0, 1), (1, 4)]);
+        assert_eq!(
+            AttachModel::log_likelihood_grid(&tl, &fig15_grid()),
+            Err(ModelError::MalformedTrace { event: 5 })
+        );
+        let tl = trace_with(&[(9, 1)]);
+        assert_eq!(
+            AttachModel::Uniform.log_likelihood(&tl),
+            Err(ModelError::MalformedTrace { event: 4 })
+        );
+    }
+
+    #[test]
+    fn malformed_attr_link_event_rejected() {
+        let attr_link = |user, attr| SanEvent::AttrLink {
+            day: 0,
+            user: SocialId(user),
+            attr: san_graph::AttrId(attr),
+        };
+        let mut events = vec![
+            SanEvent::SocialNode { day: 0 },
+            SanEvent::SocialNode { day: 0 },
+            SanEvent::AttrNode {
+                day: 0,
+                ty: AttrType::City,
+            },
+            attr_link(0, 0),
+        ];
+        let link = SanEvent::SocialLink {
+            day: 0,
+            src: SocialId(0),
+            dst: SocialId(1),
+        };
+        for (bad, event) in [
+            (attr_link(0, 0), 4),
+            (attr_link(0, 1), 4),
+            (attr_link(2, 0), 4),
+        ] {
+            let mut trace = events.clone();
+            trace.extend([bad, link]);
+            let tl = SanTimeline::from_events(trace);
+            assert_eq!(
+                AttachModel::log_likelihood_grid(&tl, &fig15_grid()),
+                Err(ModelError::MalformedTrace { event }),
+                "{bad:?}"
+            );
+        }
+        events.push(link);
+        assert!(AttachModel::Uniform
+            .log_likelihood(&SanTimeline::from_events(events))
+            .is_ok());
+    }
+
+    fn rejects_parameter(model: AttachModel, name: &str) {
+        let tl = attribute_trace();
+        match model.log_likelihood(&tl) {
+            Err(ModelError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+            other => panic!("{model:?}: expected InvalidParameter({name}), got {other:?}"),
+        }
+        // One bad cell fails the whole grid.
+        assert!(matches!(
+            AttachModel::log_likelihood_grid(&tl, &[AttachModel::Uniform, model]),
+            Err(ModelError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_alpha_rejected() {
+        rejects_parameter(AttachModel::Pa { alpha: f64::NAN }, "alpha");
+        rejects_parameter(
+            AttachModel::Lapa {
+                alpha: f64::INFINITY,
+                beta: 1.0,
+            },
+            "alpha",
+        );
+    }
+
+    #[test]
+    fn non_finite_beta_rejected() {
+        rejects_parameter(
+            AttachModel::Papa {
+                alpha: 1.0,
+                beta: f64::NAN,
+            },
+            "beta",
+        );
+        rejects_parameter(
+            AttachModel::Lapa {
+                alpha: 1.0,
+                beta: f64::INFINITY,
+            },
+            "beta",
+        );
+    }
+
+    #[test]
+    fn negative_papa_beta_rejected() {
+        rejects_parameter(
+            AttachModel::Papa {
+                alpha: 1.0,
+                beta: -1.0,
+            },
+            "beta",
+        );
+    }
+
+    #[test]
+    fn negative_lapa_beta_rejected() {
+        rejects_parameter(
+            AttachModel::Lapa {
+                alpha: 1.0,
+                beta: -0.5,
+            },
+            "beta",
+        );
     }
 
     #[test]

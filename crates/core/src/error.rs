@@ -16,6 +16,12 @@ pub enum ModelError {
     },
     /// The event trace contains no usable link-arrival events.
     EmptyTrace,
+    /// A link event names an unknown node, repeats an existing link, or is
+    /// a social self-loop.
+    MalformedTrace {
+        /// Index of the offending event in the trace.
+        event: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -27,6 +33,10 @@ impl fmt::Display for ModelError {
                 constraint,
             } => write!(f, "invalid model parameter {name}={value}: {constraint}"),
             ModelError::EmptyTrace => write!(f, "event trace has no link arrivals"),
+            ModelError::MalformedTrace { event } => write!(
+                f,
+                "malformed link at event {event}: unknown node, self-loop or duplicate"
+            ),
         }
     }
 }
@@ -46,5 +56,8 @@ mod tests {
         };
         assert!(e.to_string().contains("beta"));
         assert!(ModelError::EmptyTrace.to_string().contains("no link"));
+        assert!(ModelError::MalformedTrace { event: 5 }
+            .to_string()
+            .contains("event 5"));
     }
 }

@@ -8,6 +8,24 @@ use san_core::theory::{predicted_attr_exponent, predicted_outdegree_lognormal};
 use san_graph::prelude::*;
 use san_stats::SplitRng;
 
+/// The 52 `(model, α, β)` cells of Fig. 15, in the order the experiment
+/// lays them out.
+fn fig15_grid() -> Vec<AttachModel> {
+    let alphas = [0.0, 0.5, 1.0, 1.5, 2.0];
+    let mut models = vec![AttachModel::Pa { alpha: 1.0 }, AttachModel::Uniform];
+    for &alpha in &alphas {
+        for beta in [0.0, 2.0, 4.0, 6.0, 8.0] {
+            models.push(AttachModel::Papa { alpha, beta });
+        }
+    }
+    for &alpha in &alphas {
+        for beta in [0.0, 10.0, 100.0, 200.0, 500.0] {
+            models.push(AttachModel::Lapa { alpha, beta });
+        }
+    }
+    models
+}
+
 fn small_san(seed: u64) -> San {
     let mut rng = SplitRng::new(seed);
     let mut san = San::new();
@@ -225,6 +243,21 @@ proptest! {
             let ll = model.log_likelihood(&tl).unwrap();
             prop_assert!(ll.is_finite());
             prop_assert!(ll < 0.0);
+        }
+    }
+
+    /// Each cell of the full Fig. 15 grid bit-equals the one-cell grid of
+    /// its model: a cell never depends on its neighbours.
+    #[test]
+    fn grid_cells_independent_of_neighbours(seed in 0u64..1000, per_day in 2u32..6) {
+        let (tl, _) = SanModel::new(SanModelParams::paper_default(10, per_day))
+            .unwrap()
+            .generate(seed);
+        let models = fig15_grid();
+        let grid = AttachModel::log_likelihood_grid(&tl, &models).unwrap();
+        for (model, &cell) in models.iter().zip(&grid) {
+            let alone = model.log_likelihood(&tl).unwrap();
+            prop_assert_eq!(cell.to_bits(), alone.to_bits(), "{:?}: {} vs {}", model, cell, alone);
         }
     }
 }

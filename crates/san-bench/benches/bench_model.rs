@@ -1,9 +1,10 @@
 //! Criterion benchmarks for the generative models: generation throughput,
 //! the exact-vs-fast LAPA sampling trade-off (§7), attachment likelihood
-//! evaluation (Fig. 15's inner loop), and the lifetime-distribution
-//! ablation.
+//! evaluation (one-cell grids, and Fig. 15's whole 52-cell grid in one
+//! replay), and the lifetime-distribution ablation.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use san_bench::exp::modeling::fig15_models;
 use san_core::attach::AttachModel;
 use san_core::model::{LifetimeDist, SanModel, SanModelParams};
 use san_graph::{San, SocialId};
@@ -123,6 +124,10 @@ fn bench_likelihood(c: &mut Criterion) {
                 .unwrap(),
             )
         });
+    });
+    let models = fig15_models();
+    group.bench_function("fig15_grid", |b| {
+        b.iter(|| black_box(AttachModel::log_likelihood_grid(&tl, &models).unwrap()));
     });
     group.finish();
 }

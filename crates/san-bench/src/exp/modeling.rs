@@ -20,60 +20,54 @@ use san_stats::{DiscretePowerLaw, Lognormal, SplitRng};
 /// (days, arrivals/day).
 const GEN_DAYS: u32 = 98;
 
+/// The `α` rows of both Fig. 15 panels.
+const FIG15_ALPHAS: [f64; 5] = [0.0, 0.5, 1.0, 1.5, 2.0];
+/// The `β` columns of the Fig. 15 PAPA panel.
+const FIG15_PAPA_BETAS: [f64; 5] = [0.0, 2.0, 4.0, 6.0, 8.0];
+/// The `β` columns of the Fig. 15 LAPA panel.
+const FIG15_LAPA_BETAS: [f64; 5] = [0.0, 10.0, 100.0, 200.0, 500.0];
+
+/// The 52 kernels Fig. 15 scores, in grid order: PA (α=1), uniform, then
+/// the 5×5 PAPA and the 5×5 LAPA panel, each row-major (rows α, columns
+/// β).
+pub fn fig15_models() -> Vec<AttachModel> {
+    let mut models = vec![AttachModel::Pa { alpha: 1.0 }, AttachModel::Uniform];
+    for alpha in FIG15_ALPHAS {
+        models.extend(FIG15_PAPA_BETAS.map(|beta| AttachModel::Papa { alpha, beta }));
+    }
+    for alpha in FIG15_ALPHAS {
+        models.extend(FIG15_LAPA_BETAS.map(|beta| AttachModel::Lapa { alpha, beta }));
+    }
+    models
+}
+
 /// Figure 15: log-likelihood grid of PAPA and LAPA over (α, β), reported
-/// as relative improvement over PA (α=1, β=0).
+/// as relative improvement over PA (α=1, β=0). All 52 kernels of
+/// [`fig15_models`] are scored in one replay of the trace
+/// ([`AttachModel::log_likelihood_grid`]).
 ///
 /// Expectation (paper): LAPA beats PAPA; α=1 is best for every β; PA beats
 /// uniform by ~8 %; the best LAPA gains a further ~6 %.
 pub fn fig15(ctx: &Ctx) {
     banner("Fig 15", "PAPA vs LAPA attachment likelihood grid");
-    let tl = &ctx.data.timeline;
-    let l_pa = AttachModel::Pa { alpha: 1.0 }
-        .log_likelihood(tl)
+    let ll = AttachModel::log_likelihood_grid(&ctx.data.timeline, &fig15_models())
         .expect("timeline has links");
-    let l_uniform = AttachModel::Uniform.log_likelihood(tl).expect("links");
+    let (l_pa, l_uniform) = (ll[0], ll[1]);
+    let (papa, lapa) = ll[2..].split_at(FIG15_ALPHAS.len() * FIG15_PAPA_BETAS.len());
     println!(
         "PA improvement over uniform: {:+.1}% (paper: +7.9%)",
         100.0 * relative_improvement(l_uniform, l_pa)
     );
-    let alphas = [0.0, 0.5, 1.0, 1.5, 2.0];
     println!("(a) PAPA: relative improvement over PA (rows alpha, cols beta)");
-    let papa_betas = [0.0, 2.0, 4.0, 6.0, 8.0];
-    print!("  {:>6}", "a\\b");
-    for b in papa_betas {
-        print!(" {b:>8.0}");
-    }
-    println!();
-    for &a in &alphas {
-        print!("  {a:>6.1}");
-        for &b in &papa_betas {
-            let l = AttachModel::Papa { alpha: a, beta: b }
-                .log_likelihood(tl)
-                .expect("links");
-            print!(" {:>7.1}%", 100.0 * relative_improvement(l_pa, l));
-        }
-        println!();
-    }
+    print_fig15_panel(&FIG15_PAPA_BETAS, papa, l_pa);
     println!("(b) LAPA: relative improvement over PA");
-    let lapa_betas = [0.0, 10.0, 100.0, 200.0, 500.0];
-    print!("  {:>6}", "a\\b");
-    for b in lapa_betas {
-        print!(" {b:>8.0}");
-    }
-    println!();
+    print_fig15_panel(&FIG15_LAPA_BETAS, lapa, l_pa);
     let mut best = (f64::NEG_INFINITY, 0.0, 0.0);
-    for &a in &alphas {
-        print!("  {a:>6.1}");
-        for &b in &lapa_betas {
-            let l = AttachModel::Lapa { alpha: a, beta: b }
-                .log_likelihood(tl)
-                .expect("links");
-            if l > best.0 {
-                best = (l, a, b);
-            }
-            print!(" {:>7.1}%", 100.0 * relative_improvement(l_pa, l));
+    for (i, &l) in lapa.iter().enumerate() {
+        if l > best.0 {
+            let cols = FIG15_LAPA_BETAS.len();
+            best = (l, FIG15_ALPHAS[i / cols], FIG15_LAPA_BETAS[i % cols]);
         }
-        println!();
     }
     println!(
         "best LAPA: alpha={} beta={} ({:+.1}% over PA; paper: alpha=1 best, +6.1%)",
@@ -81,6 +75,23 @@ pub fn fig15(ctx: &Ctx) {
         best.2,
         100.0 * relative_improvement(l_pa, best.0)
     );
+}
+
+/// Prints one Fig. 15 panel: rows `FIG15_ALPHAS`, columns `betas`, each
+/// cell the relative improvement of its log-likelihood over `l_pa`.
+fn print_fig15_panel(betas: &[f64], cells: &[f64], l_pa: f64) {
+    print!("  {:>6}", "a\\b");
+    for b in betas {
+        print!(" {b:>8.0}");
+    }
+    println!();
+    for (a, row) in FIG15_ALPHAS.iter().zip(cells.chunks(betas.len())) {
+        print!("  {a:>6.1}");
+        for &l in row {
+            print!(" {:>7.1}%", 100.0 * relative_improvement(l_pa, l));
+        }
+        println!();
+    }
 }
 
 /// Prints the four degree-distribution fits of a SAN as one Fig. 16 row.

@@ -20,7 +20,7 @@
 
 use san_graph::{AttrId, AttrType, SanRead, ShardedCsrSan, SocialId};
 use san_stats::{hoeffding_samples, SplitRng};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Which node set `Ω` a clustering aggregate ranges over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,16 +32,16 @@ pub enum NodeSet {
     Attr,
 }
 
-/// Counts directed links among a set of social nodes.
+/// Counts directed links among a set of social nodes, given sorted and
+/// deduplicated: each out-neighbour is looked up by binary search.
 fn directed_links_among(san: &impl SanRead, nodes: &[SocialId]) -> usize {
     if nodes.len() < 2 {
         return 0;
     }
-    let set: HashSet<SocialId> = nodes.iter().copied().collect();
     let mut count = 0;
     for &w in nodes {
         for &x in san.out_neighbors(w) {
-            if x != w && set.contains(&x) {
+            if x != w && nodes.binary_search(&x).is_ok() {
                 count += 1;
             }
         }
@@ -67,7 +67,10 @@ pub fn local_clustering_attr(san: &impl SanRead, a: AttrId) -> f64 {
     if d < 2 {
         return 0.0;
     }
-    directed_links_among(san, members) as f64 / (d * (d - 1)) as f64
+    // Members are distinct but, for a mutable `San`, in insertion order.
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable();
+    directed_links_among(san, &sorted) as f64 / (d * (d - 1)) as f64
 }
 
 /// Exact average clustering coefficient over `Ω` (O(Σ deg²); use
@@ -330,6 +333,24 @@ mod tests {
         assert!((local_clustering_attr(&fx.san, fx.computer_science) - 0.5).abs() < 1e-12);
         // UC Berkeley members {u1, u2}: no social link between them -> 0.
         assert_eq!(local_clustering_attr(&fx.san, fx.uc_berkeley), 0.0);
+    }
+
+    #[test]
+    fn attr_clustering_with_members_out_of_id_order() {
+        // A mutable `San` lists members in insertion order: join the
+        // triangle's nodes to the attribute as u3, u2, u1, u0.
+        let mut san = triangle();
+        let a = san.add_attr_node(AttrType::Employer);
+        for u in (0..4).rev() {
+            san.add_attr_link(SocialId(u), a);
+        }
+        // All 5 links lie among the 4 members: L=5, denom 4*3 => 5/12.
+        let c = local_clustering_attr(&san, a);
+        assert!((c - 5.0 / 12.0).abs() < 1e-12, "c={c}");
+        assert_eq!(
+            c.to_bits(),
+            local_clustering_attr(&san.freeze(), a).to_bits()
+        );
     }
 
     #[test]
