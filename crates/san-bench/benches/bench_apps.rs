@@ -1,11 +1,14 @@
 //! Criterion benchmarks for the application-fidelity pipelines (Fig. 19's
-//! inner loops) and the end-to-end dataset generation + crawl.
+//! inner loops), the end-to-end dataset generation + crawl, and the two
+//! halves of the daily crawl: the once-per-dataset discovery pass and the
+//! rebuild of the weekly sampled days.
 
 use criterion::{black_box, criterion_group, Criterion};
 use san_apps::anonymity::{timing_analysis_probability, AnonymityConfig};
 use san_apps::sybil::{compromise_uniform, sybil_identities, SybilLimitConfig};
 use san_core::model::{SanModel, SanModelParams};
-use san_sim::GooglePlus;
+use san_graph::SanRead;
+use san_sim::{CrawlLog, GooglePlus};
 use san_stats::SplitRng;
 
 fn bench_sybil(c: &mut Criterion) {
@@ -69,6 +72,18 @@ fn bench_dataset(c: &mut Criterion) {
         b.iter(|| {
             let data = gen.generate(27);
             black_box(data.crawl_final().san.num_social_links())
+        });
+    });
+    let data = GooglePlus::at_scale(10).generate(28);
+    group.bench_function("crawl_log_scale10", |b| {
+        b.iter(|| black_box(CrawlLog::discover(&data).days.len()));
+    });
+    group.bench_function("crawled_weekly_days_scale10", |b| {
+        data.crawl_log();
+        b.iter(|| {
+            let mut links = 0;
+            data.for_each_crawled_day(7, |_, crawled| links += crawled.num_social_links());
+            black_box(links)
         });
     });
     group.finish();

@@ -24,15 +24,12 @@ pub fn fig8(ctx: &Ctx) {
     let mut dens = Vec::new();
     let mut clus = Vec::new();
     let mut rng = san_stats::SplitRng::new(ctx.seed ^ 0xF168);
-    ctx.data.crawl_daily(|day, snap| {
-        if day % STEP != 0 || day == 0 {
-            return;
-        }
+    ctx.data.for_each_crawled_day(STEP, |day, san| {
         let d = f64::from(day);
-        dens.push((d, attr_density(&snap.san)));
+        dens.push((d, attr_density(san)));
         clus.push((
             d,
-            approx_average_clustering(&snap.san, NodeSet::Attr, 0.01, 100.0, &mut rng),
+            approx_average_clustering(san, NodeSet::Attr, 0.01, 100.0, &mut rng),
         ));
     });
     println!("(a) attribute density |Ea|/|Va|");
@@ -110,11 +107,8 @@ pub fn fig11(ctx: &Ctx) {
     let mut mu = Vec::new();
     let mut sigma = Vec::new();
     let mut alpha = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        if day % (2 * STEP) != 0 || day == 0 {
-            return;
-        }
-        let dv = degree_vectors(&snap.san);
+    ctx.data.for_each_crawled_day(2 * STEP, |day, san| {
+        let dv = degree_vectors(san);
         let d = f64::from(day);
         if let Ok(fit) = fit_degree_distribution(&dv.attr_of_social) {
             mu.push((d, fit.mu));
@@ -145,11 +139,8 @@ pub fn fig12(ctx: &Ctx) {
     println!("(a) attribute knn (social degree -> mean member attr degree)");
     print_series_u("social degree", "knn", &downsample(&knn, 15));
     let mut series = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        if day % STEP != 0 || day == 0 {
-            return;
-        }
-        series.push((f64::from(day), attribute_assortativity(&snap.san)));
+    ctx.data.for_each_crawled_day(STEP, |day, san| {
+        series.push((f64::from(day), attribute_assortativity(san)));
     });
     println!("(b) attribute assortativity coefficient");
     print_series("day", "assortativity", &downsample(&series, 14));

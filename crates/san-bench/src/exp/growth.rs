@@ -1,11 +1,15 @@
 //! §2.2 experiments: growth curves (Figs. 2–3) and crawl coverage.
 //!
-//! The crawled curves need a per-day BFS crawl (the crawler's view *is*
-//! the measurement), but the ground-truth overlays are counter-only, so
-//! they ride [`evolve_metric_counts`] — the non-freezing count path of the
-//! snapshot pipeline — instead of freezing or crawling anything.
+//! The crawled curves are the crawler's per-day counts, read from the
+//! dataset's one crawl log ([`GooglePlusData::crawl_log`]) without
+//! building any crawled graph. The ground-truth overlays are counter-only,
+//! so they ride [`evolve_metric_counts`] — the non-freezing count path of
+//! the snapshot pipeline — instead of freezing or crawling anything.
+//!
+//! [`GooglePlusData::crawl_log`]: san_sim::GooglePlusData::crawl_log
 
 use crate::{banner, downsample, print_series_u, Ctx};
+use san_graph::crawler::CrawlCounts;
 use san_metrics::evolution::{evolve_metric_counts, PhaseBounds};
 
 /// Figure 2: growth in the number of social and attribute nodes.
@@ -14,12 +18,8 @@ use san_metrics::evolution::{evolve_metric_counts, PhaseBounds};
 /// Phase I, steady Phase II, steep Phase III.
 pub fn fig2(ctx: &Ctx) {
     banner("Fig 2", "growth of social and attribute nodes (crawled)");
-    let mut social = Vec::new();
-    let mut attrs = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        social.push((u64::from(day), snap.san.num_social_nodes() as f64));
-        attrs.push((u64::from(day), snap.san.num_attr_nodes() as f64));
-    });
+    let social = crawled_series(ctx, |c| c.social_nodes as f64);
+    let attrs = crawled_series(ctx, |c| c.attr_nodes as f64);
     println!("(a) social nodes");
     print_series_u("day", "nodes", &downsample(&social, 20));
     println!("(b) attribute nodes");
@@ -31,18 +31,24 @@ pub fn fig2(ctx: &Ctx) {
 /// Figure 3: growth in the number of social and attribute links.
 pub fn fig3(ctx: &Ctx) {
     banner("Fig 3", "growth of social and attribute links (crawled)");
-    let mut social = Vec::new();
-    let mut attrs = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        social.push((u64::from(day), snap.san.num_social_links() as f64));
-        attrs.push((u64::from(day), snap.san.num_attr_links() as f64));
-    });
+    let social = crawled_series(ctx, |c| c.social_links as f64);
+    let attrs = crawled_series(ctx, |c| c.attr_links as f64);
     println!("(a) social links");
     print_series_u("day", "links", &downsample(&social, 20));
     println!("(b) attribute links");
     print_series_u("day", "links", &downsample(&attrs, 20));
     print_truth_overlay(ctx, "links", |c| c.social_links as f64);
     phase_deltas("social links", &social);
+}
+
+/// One value per crawled day, read from the dataset's crawl log.
+fn crawled_series(ctx: &Ctx, value: impl Fn(&CrawlCounts) -> f64) -> Vec<(u64, f64)> {
+    ctx.data
+        .crawl_log()
+        .days
+        .iter()
+        .map(|row| (u64::from(row.day), value(&row.counts)))
+        .collect()
 }
 
 /// Prints the ground-truth counterpart of a crawled growth curve through
@@ -66,10 +72,7 @@ pub fn coverage(ctx: &Ctx) {
         "Coverage",
         "crawler coverage vs ground truth (>= 70% claim)",
     );
-    let mut rows = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        rows.push((u64::from(day), snap.node_coverage));
-    });
+    let rows = crawled_series(ctx, |c| c.node_coverage);
     print_series_u("day", "node coverage", &downsample(&rows, 15));
     let last = ctx.crawl.node_coverage;
     println!(

@@ -31,11 +31,7 @@ pub fn fig4(ctx: &Ctx) {
     let mut diam_attr = Vec::new();
     let mut clus = Vec::new();
     let mut rng = san_stats::SplitRng::new(ctx.seed ^ 0xF164);
-    ctx.data.crawl_daily(|day, snap| {
-        if day % STEP != 0 || day == 0 {
-            return;
-        }
-        let san = &snap.san;
+    ctx.data.for_each_crawled_day(STEP, |day, san| {
         let d = f64::from(day);
         recip.push((d, global_reciprocity(san)));
         dens.push((d, social_density(san)));
@@ -93,11 +89,8 @@ pub fn fig6(ctx: &Ctx) {
     let mut out_sigma = Vec::new();
     let mut in_mu = Vec::new();
     let mut in_sigma = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        if day % (2 * STEP) != 0 || day == 0 {
-            return;
-        }
-        let dv = degree_vectors(&snap.san);
+    ctx.data.for_each_crawled_day(2 * STEP, |day, san| {
+        let dv = degree_vectors(san);
         let d = f64::from(day);
         if let Ok(fit) = fit_degree_distribution(&dv.out) {
             out_mu.push((d, fit.mu));
@@ -130,11 +123,8 @@ pub fn fig7(ctx: &Ctx) {
     println!("(a) knn (outdegree -> mean indegree of targets)");
     print_series_u("outdegree", "knn", &downsample(&knn, 15));
     let mut series = Vec::new();
-    ctx.data.crawl_daily(|day, snap| {
-        if day % STEP != 0 || day == 0 {
-            return;
-        }
-        series.push((f64::from(day), social_assortativity(&snap.san)));
+    ctx.data.for_each_crawled_day(STEP, |day, san| {
+        series.push((f64::from(day), social_assortativity(san)));
     });
     println!("(b) assortativity coefficient");
     print_series("day", "assortativity", &downsample(&series, 14));

@@ -26,8 +26,16 @@ use san_graph::crawler::CrawlSnapshot;
 use san_sim::{GooglePlus, GooglePlusData};
 
 /// Shared experiment context: one generated dataset + its final crawl.
+///
+/// The daily crawl is not a field: the evolution experiments read it
+/// through `data`, whose [`GooglePlusData::crawl_log`] runs the crawl's
+/// discovery once per dataset on first use, and whose
+/// [`GooglePlusData::for_each_crawled_day`] rebuilds only the crawled days
+/// an experiment samples. Setting up a `Ctx` therefore pays for the final
+/// crawl only.
 pub struct Ctx {
-    /// The synthetic Google+ (ground truth + visibility + labels).
+    /// The synthetic Google+ (ground truth + visibility + labels + the
+    /// lazily filled daily crawl log).
     pub data: GooglePlusData,
     /// The final-day crawled snapshot (what "the last snapshot" means in
     /// the paper's single-snapshot analyses).

@@ -16,6 +16,18 @@
 //!   out of this rule;
 //! * crawl state persists across days, so day `t`'s crawl expands from the
 //!   users known at day `t − 1`.
+//!
+//! A crawl is two steps. [`Crawler::discover`] is the BFS: it grows the
+//! known-user set. [`observe`] then materialises what those users expose
+//! as a [`CrawlSnapshot`], and [`observe_counts`] returns only the
+//! snapshot's sizes and coverage without building a graph.
+//! [`Crawler::crawl`] runs both. The visibility rule is written once, in
+//! the private `for_each_observed`, and both observers walk it: a link is
+//! observed iff both endpoints are known and either endpoint is public,
+//! and only public users expose attributes. The known set depends only on
+//! the days crawled so far, so a caller that records each user's
+//! first-known day can rebuild any crawled day later from the ground
+//! truth of that day alone.
 
 use crate::ids::{AttrId, SocialId};
 use crate::read::SanRead;
@@ -37,6 +49,39 @@ pub struct CrawlSnapshot {
     pub link_coverage: f64,
 }
 
+/// The sizes and coverage of a crawled snapshot, as [`observe_counts`]
+/// reports them without building the graph.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrawlCounts {
+    /// Known users (`|Vs|` of the snapshot).
+    pub social_nodes: usize,
+    /// Observed social links (`|Es|`).
+    pub social_links: usize,
+    /// Attributes exposed by at least one known public user (`|Va|`).
+    pub attr_nodes: usize,
+    /// Observed attribute links (`|Ea|`).
+    pub attr_links: usize,
+    /// Known users / ground-truth users.
+    pub node_coverage: f64,
+    /// Observed social links / ground-truth social links.
+    pub link_coverage: f64,
+}
+
+impl CrawlSnapshot {
+    /// The snapshot's sizes and coverage, in the form
+    /// [`observe_counts`] returns.
+    pub fn counts(&self) -> CrawlCounts {
+        CrawlCounts {
+            social_nodes: self.san.num_social_nodes(),
+            social_links: self.san.num_social_links(),
+            attr_nodes: self.san.num_attr_nodes(),
+            attr_links: self.san.num_attr_links(),
+            node_coverage: self.node_coverage,
+            link_coverage: self.link_coverage,
+        }
+    }
+}
+
 /// Stateful daily crawler over a growing ground truth.
 #[derive(Debug, Clone)]
 pub struct Crawler {
@@ -54,21 +99,31 @@ impl Crawler {
         }
     }
 
-    /// Users discovered so far.
+    /// Users discovered so far, in ground-truth id order.
     pub fn known(&self) -> &[SocialId] {
         &self.known
     }
 
-    /// Crawls the current ground truth.
+    /// Crawls the current ground truth: [`discover`](Crawler::discover)
+    /// followed by [`observe`] over the expanded known set.
+    ///
+    /// # Panics
+    /// As [`discover`](Crawler::discover).
+    pub fn crawl(&mut self, truth: &impl SanRead, public: &[bool]) -> CrawlSnapshot {
+        self.discover(truth, public);
+        observe(truth, public, &self.known)
+    }
+
+    /// Expands the known-user set over the current ground truth.
     ///
     /// `public[u]` says whether ground-truth user `u` exposes its lists.
-    /// The crawl BFS starts from all previously known users plus the seeds
-    /// and repeatedly fetches the lists of every reachable public user.
+    /// The BFS starts from all previously known users plus the seeds and
+    /// repeatedly fetches the lists of every reachable public user.
     ///
     /// # Panics
     /// Panics when `public.len()` differs from the ground-truth node count
     /// or a seed id is out of range.
-    pub fn crawl(&mut self, truth: &impl SanRead, public: &[bool]) -> CrawlSnapshot {
+    pub fn discover(&mut self, truth: &impl SanRead, public: &[bool]) {
         let n = truth.num_social_nodes();
         assert_eq!(public.len(), n, "visibility vector must cover all users");
 
@@ -99,65 +154,123 @@ impl Crawler {
             .map(SocialId)
             .filter(|u| discovered[u.index()])
             .collect();
+    }
+}
 
-        // Materialise the observed SAN.
-        let mut social_new = vec![u32::MAX; n];
-        let mut social_origin = Vec::new();
-        for &u in &self.known {
-            social_new[u.index()] = social_origin.len() as u32;
-            social_origin.push(u);
-        }
-        let mut san = San::with_capacity(social_origin.len(), 0);
-        for _ in 0..social_origin.len() {
-            san.add_social_node();
-        }
-        let mut attr_new = vec![u32::MAX; truth.num_attr_nodes()];
-        let mut attr_origin = Vec::new();
-        let mut observed_links = 0usize;
-        for (new_u, &old_u) in social_origin.iter().enumerate() {
-            // A directed link u->v is observed if either endpoint is public
-            // (u's out-list or v's in-list) and both endpoints are known.
-            for &v in truth.out_neighbors(old_u) {
-                let nv = social_new[v.index()];
-                if nv == u32::MAX {
-                    continue;
-                }
-                if (public[old_u.index()] || public[v.index()])
-                    && san.add_social_link(SocialId(new_u as u32), SocialId(nv))
-                {
-                    observed_links += 1;
-                }
-            }
-            // Attributes are profile data: only public users expose them.
-            if public[old_u.index()] {
-                for &a in truth.attrs_of(old_u) {
-                    if attr_new[a.index()] == u32::MAX {
-                        attr_new[a.index()] = attr_origin.len() as u32;
-                        attr_origin.push(a);
-                        san.add_attr_node(truth.attr_type(a));
-                    }
-                    san.add_attr_link(SocialId(new_u as u32), AttrId(attr_new[a.index()]));
-                }
+/// One observation of the visibility walk, in crawl-local social ids.
+enum Seen {
+    /// The directed social link `u → v`.
+    Link(SocialId, SocialId),
+    /// User `u` declares ground-truth attribute `a`.
+    Attr(SocialId, AttrId),
+}
+
+/// The §2.2 visibility rule, walked once per known user in `known` order:
+/// first the user's observed out-links, then its attributes. A directed
+/// link `u → v` is observed iff both endpoints are known and either is
+/// public (`u`'s out-list or `v`'s in-list); attributes are profile data,
+/// so only public users expose them.
+fn for_each_observed(
+    truth: &impl SanRead,
+    public: &[bool],
+    known: &[SocialId],
+    mut visit: impl FnMut(Seen),
+) {
+    let mut social_new = vec![u32::MAX; truth.num_social_nodes()];
+    for (new_u, &old_u) in known.iter().enumerate() {
+        social_new[old_u.index()] = new_u as u32;
+    }
+    for (new_u, &old_u) in known.iter().enumerate() {
+        let new_u = SocialId(new_u as u32);
+        for &v in truth.out_neighbors(old_u) {
+            let nv = social_new[v.index()];
+            if nv != u32::MAX && (public[old_u.index()] || public[v.index()]) {
+                visit(Seen::Link(new_u, SocialId(nv)));
             }
         }
-
-        let node_coverage = if n == 0 {
-            0.0
-        } else {
-            social_origin.len() as f64 / n as f64
-        };
-        let link_coverage = if truth.num_social_links() == 0 {
-            0.0
-        } else {
-            observed_links as f64 / truth.num_social_links() as f64
-        };
-        CrawlSnapshot {
-            san,
-            social_origin,
-            attr_origin,
-            node_coverage,
-            link_coverage,
+        if public[old_u.index()] {
+            for &a in truth.attrs_of(old_u) {
+                visit(Seen::Attr(new_u, a));
+            }
         }
+    }
+}
+
+/// `part / whole`, or 0 for an empty whole.
+fn coverage(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// Materialises what the `known` users expose of `truth`.
+///
+/// `known` lists ground-truth users (the crawler keeps them in id order);
+/// the snapshot numbers them densely in that order and numbers attributes
+/// by first encounter. `public[u]` is `u`'s visibility.
+///
+/// # Panics
+/// Panics when a known user is outside `truth`, or `public` is shorter
+/// than `truth`'s node count.
+pub fn observe(truth: &impl SanRead, public: &[bool], known: &[SocialId]) -> CrawlSnapshot {
+    let mut san = San::with_capacity(known.len(), 0);
+    for _ in known {
+        san.add_social_node();
+    }
+    let mut attr_new = vec![u32::MAX; truth.num_attr_nodes()];
+    let mut attr_origin = Vec::new();
+    let mut observed_links = 0usize;
+    for_each_observed(truth, public, known, |seen| match seen {
+        Seen::Link(u, v) => {
+            if san.add_social_link(u, v) {
+                observed_links += 1;
+            }
+        }
+        Seen::Attr(u, a) => {
+            if attr_new[a.index()] == u32::MAX {
+                attr_new[a.index()] = attr_origin.len() as u32;
+                attr_origin.push(a);
+                san.add_attr_node(truth.attr_type(a));
+            }
+            san.add_attr_link(u, AttrId(attr_new[a.index()]));
+        }
+    });
+    CrawlSnapshot {
+        san,
+        social_origin: known.to_vec(),
+        attr_origin,
+        node_coverage: coverage(known.len(), truth.num_social_nodes()),
+        link_coverage: coverage(observed_links, truth.num_social_links()),
+    }
+}
+
+/// The sizes and coverage [`observe`] would report for the same
+/// arguments, without building the snapshot.
+///
+/// # Panics
+/// As [`observe`].
+pub fn observe_counts(truth: &impl SanRead, public: &[bool], known: &[SocialId]) -> CrawlCounts {
+    let mut attr_seen = vec![false; truth.num_attr_nodes()];
+    let (mut social_links, mut attr_nodes, mut attr_links) = (0, 0, 0);
+    for_each_observed(truth, public, known, |seen| match seen {
+        Seen::Link(..) => social_links += 1,
+        Seen::Attr(_, a) => {
+            if !attr_seen[a.index()] {
+                attr_seen[a.index()] = true;
+                attr_nodes += 1;
+            }
+            attr_links += 1;
+        }
+    });
+    CrawlCounts {
+        social_nodes: known.len(),
+        social_links,
+        attr_nodes,
+        attr_links,
+        node_coverage: coverage(known.len(), truth.num_social_nodes()),
+        link_coverage: coverage(social_links, truth.num_social_links()),
     }
 }
 
@@ -259,6 +372,24 @@ mod tests {
         san.add_social_link(u1, u2);
         let snap = crawler.crawl(&san, &[true, true, true]);
         assert_eq!(snap.san.num_social_nodes(), 3);
+    }
+
+    #[test]
+    fn counts_match_observed_snapshot() {
+        let fx = figure1();
+        for private in 0..6 {
+            let mut public = vec![true; 6];
+            public[private] = false;
+            let mut crawler = Crawler::new(vec![fx.users[3]]);
+            crawler.discover(&fx.san, &public);
+            let snap = observe(&fx.san, &public, crawler.known());
+            assert_eq!(
+                observe_counts(&fx.san, &public, crawler.known()),
+                snap.counts(),
+                "private user {private}"
+            );
+            assert_eq!(snap.social_origin, crawler.known());
+        }
     }
 
     #[test]

@@ -3,18 +3,26 @@
 //! [`GooglePlus::generate`] grows a ground-truth SAN with the paper's own
 //! generative engine under the three-phase schedule, assigns public/private
 //! visibility, and labels the attribute vocabulary. [`GooglePlusData`] then
-//! exposes the §2.2 crawl: a stateful BFS crawler re-run against each daily
+//! exposes the §2.2 crawl: a stateful BFS crawler run against each daily
 //! snapshot, seeded at a well-connected early user, observing only what a
 //! real crawler could see.
+//!
+//! The daily crawl runs once per dataset. [`GooglePlusData::crawl_log`]
+//! does the discovery pass on first use and keeps only each user's
+//! first-known day and one counts-and-coverage row per day.
+//! [`GooglePlusData::for_each_crawled_day`] rebuilds a crawled day from
+//! that log, and only on the days an experiment samples. Each rebuilt day
+//! is frozen and dropped after its visit, so no crawled graph outlives it.
 
 use crate::phases::{arrivals_schedule, reciprocity_schedule};
 use crate::vocab::label_attributes;
 use san_core::model::{SanModel, SanModelParams};
-use san_graph::crawler::{CrawlSnapshot, Crawler};
+use san_graph::crawler::{observe, observe_counts, CrawlCounts, CrawlSnapshot, Crawler};
 use san_graph::degree::nodes_by_total_degree;
 use san_graph::store::{SnapshotVault, StoreError, StreamingVaultWriter};
-use san_graph::{San, SanEvent, SanTimeline, SocialId};
+use san_graph::{CsrSan, San, SanEvent, SanTimeline, SocialId};
 use san_stats::SplitRng;
+use std::sync::OnceLock;
 
 /// Simulator parameters.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -66,6 +74,55 @@ pub struct GooglePlusData {
     pub labels: Vec<String>,
     /// Crawl seed (a well-connected early adopter).
     pub crawl_seed: SocialId,
+    /// The daily crawl's log, filled on first use by
+    /// [`crawl_log`](GooglePlusData::crawl_log).
+    crawl_log: OnceLock<CrawlLog>,
+}
+
+/// The record of one daily crawl of a dataset: enough to rebuild any
+/// crawled day from that day's ground truth, plus every day's counts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrawlLog {
+    /// For each ground-truth user (by index), the first day the crawler
+    /// knew it, or [`CrawlLog::NEVER`]. The users known on day `d` are exactly
+    /// those with `first_known <= d`.
+    pub first_known: Vec<u32>,
+    /// One row per crawled day, in day order. Days before the crawl seed
+    /// joins the ground truth are not crawled and have no row.
+    pub days: Vec<CrawlDay>,
+}
+
+/// One crawled day's sizes and coverage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrawlDay {
+    /// The day.
+    pub day: u32,
+    /// What the crawler observed that day.
+    pub counts: CrawlCounts,
+}
+
+impl CrawlLog {
+    /// First-known day of a user the crawler never reached.
+    pub const NEVER: u32 = u32::MAX;
+
+    /// Runs the daily crawl of `data` — one ground-truth replay and one
+    /// BFS discovery per day — without materialising any crawled graph.
+    /// [`GooglePlusData::crawl_log`] memoises this per dataset.
+    pub fn discover(data: &GooglePlusData) -> CrawlLog {
+        let mut crawler = Crawler::new(vec![data.crawl_seed]);
+        let mut first_known = vec![CrawlLog::NEVER; data.truth.num_social_nodes()];
+        let mut days = Vec::new();
+        data.for_each_truth_day(|day, truth, public| {
+            crawler.discover(truth, public);
+            for &u in crawler.known() {
+                let first = &mut first_known[u.index()];
+                *first = (*first).min(day);
+            }
+            let counts = observe_counts(truth, public, crawler.known());
+            days.push(CrawlDay { day, counts });
+        });
+        CrawlLog { first_known, days }
+    }
 }
 
 impl GooglePlus {
@@ -117,6 +174,7 @@ impl GooglePlus {
             public,
             labels,
             crawl_seed,
+            crawl_log: OnceLock::new(),
         }
     }
 
@@ -169,23 +227,48 @@ impl GooglePlus {
 }
 
 impl GooglePlusData {
-    /// Runs the daily crawl over every day of the timeline, invoking
-    /// `visit(day, &crawl)` with the crawler's view of that day. The
-    /// crawler state persists across days exactly as in §2.2 (each day
-    /// expands from the previous snapshot).
+    /// The daily crawl of §2.2 over every day of the timeline, run on
+    /// first use and kept for the dataset's lifetime (a few bytes per user
+    /// and per day). The crawler state persists across days exactly as in
+    /// §2.2: each day expands from the previous day's known users.
+    pub fn crawl_log(&self) -> &CrawlLog {
+        self.crawl_log.get_or_init(|| CrawlLog::discover(self))
+    }
+
+    /// Visits every `step`-th crawled day after day 0 as a frozen
+    /// snapshot: `visit(day, &crawled)` sees exactly what the daily crawl
+    /// observed that day (`Crawler::crawl(..).san.freeze()`).
     ///
-    /// Costs one incremental ground-truth replay plus one BFS per day; no
-    /// snapshots are retained.
-    pub fn crawl_daily<F: FnMut(u32, &CrawlSnapshot)>(&self, mut visit: F) {
-        let mut crawler = Crawler::new(vec![self.crawl_seed]);
-        self.timeline.for_each_day(|day, truth_at_day| {
-            // The seed may not exist in the earliest days; skip until born.
-            if self.crawl_seed.index() >= truth_at_day.num_social_nodes() {
+    /// Costs one ground-truth replay plus one materialisation per visited
+    /// day; each crawled day is dropped after its visit.
+    ///
+    /// # Panics
+    /// Panics if `step == 0`.
+    pub fn for_each_crawled_day<F: FnMut(u32, &CsrSan)>(&self, step: u32, mut visit: F) {
+        assert!(step > 0, "step must be positive");
+        let first_known = &self.crawl_log().first_known;
+        self.for_each_truth_day(|day, truth, public| {
+            if day == 0 || day % step != 0 {
                 return;
             }
-            let public = &self.public[..truth_at_day.num_social_nodes()];
-            let snap = crawler.crawl(truth_at_day, public);
-            visit(day, &snap);
+            let known: Vec<SocialId> = (0..truth.num_social_nodes() as u32)
+                .map(SocialId)
+                .filter(|u| first_known[u.index()] <= day)
+                .collect();
+            let crawled = observe(truth, public, &known).san.freeze();
+            visit(day, &crawled);
+        });
+    }
+
+    /// Replays the ground truth, handing each day the crawl can run on
+    /// (the crawl seed has joined) to `visit(day, truth, public)` with the
+    /// visibility of that day's users.
+    fn for_each_truth_day<F: FnMut(u32, &San, &[bool])>(&self, mut visit: F) {
+        self.timeline.for_each_day(|day, truth| {
+            let n = truth.num_social_nodes();
+            if self.crawl_seed.index() < n {
+                visit(day, truth, &self.public[..n]);
+            }
         });
     }
 
@@ -194,14 +277,6 @@ impl GooglePlusData {
     pub fn crawl_final(&self) -> CrawlSnapshot {
         let mut crawler = Crawler::new(vec![self.crawl_seed]);
         crawler.crawl(&self.truth, &self.public)
-    }
-
-    /// Crawls the network as of a specific day (fresh crawler).
-    pub fn crawl_at_day(&self, day: u32) -> CrawlSnapshot {
-        let truth = self.timeline.snapshot_at(day);
-        let mut crawler = Crawler::new(vec![self.crawl_seed]);
-        let public = &self.public[..truth.num_social_nodes()];
-        crawler.crawl(&truth, public)
     }
 }
 
@@ -266,23 +341,132 @@ mod tests {
     #[test]
     fn daily_crawls_are_monotone() {
         let data = tiny_data();
-        let mut last_nodes = 0usize;
-        let mut days_seen = 0;
-        data.crawl_daily(|_, snap| {
-            assert!(snap.san.num_social_nodes() >= last_nodes);
-            last_nodes = snap.san.num_social_nodes();
-            days_seen += 1;
-        });
-        assert!(days_seen >= 98, "days_seen={days_seen}");
-        assert!(last_nodes > 0);
+        let log = data.crawl_log();
+        assert!(log.days.len() >= 98, "days crawled={}", log.days.len());
+        for w in log.days.windows(2) {
+            assert_eq!(w[1].day, w[0].day + 1);
+            assert!(w[1].counts.social_nodes >= w[0].counts.social_nodes);
+        }
+        assert!(log.days.last().unwrap().counts.social_nodes > 0);
+        // The first-known days agree with the per-day node counts.
+        for row in &log.days {
+            let known = log.first_known.iter().filter(|&&d| d <= row.day).count();
+            assert_eq!(known, row.counts.social_nodes, "day {}", row.day);
+        }
     }
 
+    /// The §2.2 daily crawl as one sequential step per day — BFS from
+    /// yesterday's known users, then materialise the whole observed SAN —
+    /// written out here independently of `san_graph::crawler`, as the
+    /// reference the discover/observe split must reproduce.
+    struct ReferenceCrawler {
+        seed: SocialId,
+        known: Vec<bool>,
+    }
+
+    impl ReferenceCrawler {
+        fn crawl(&mut self, truth: &San, public: &[bool]) -> CrawlSnapshot {
+            let n = truth.num_social_nodes();
+            self.known.resize(n, false);
+            self.known[self.seed.index()] = true;
+            let mut queue: std::collections::VecDeque<SocialId> = (0..n as u32)
+                .map(SocialId)
+                .filter(|u| self.known[u.index()])
+                .collect();
+            while let Some(u) = queue.pop_front() {
+                if public[u.index()] {
+                    for &v in truth.out_neighbors(u).iter().chain(truth.in_neighbors(u)) {
+                        if !self.known[v.index()] {
+                            self.known[v.index()] = true;
+                            queue.push_back(v);
+                        }
+                    }
+                }
+            }
+            let social_origin: Vec<SocialId> = (0..n as u32)
+                .map(SocialId)
+                .filter(|u| self.known[u.index()])
+                .collect();
+            let mut local = vec![u32::MAX; n];
+            let mut san = San::new();
+            for &u in &social_origin {
+                local[u.index()] = san.add_social_node().0;
+            }
+            let mut attr_local = std::collections::HashMap::new();
+            let mut attr_origin = Vec::new();
+            let mut links = 0;
+            for &u in &social_origin {
+                let lu = SocialId(local[u.index()]);
+                for &v in truth.out_neighbors(u) {
+                    let lv = local[v.index()];
+                    if lv != u32::MAX && (public[u.index()] || public[v.index()]) {
+                        links += usize::from(san.add_social_link(lu, SocialId(lv)));
+                    }
+                }
+                if public[u.index()] {
+                    for &a in truth.attrs_of(u) {
+                        let la = *attr_local.entry(a).or_insert_with(|| {
+                            attr_origin.push(a);
+                            san.add_attr_node(truth.attr_type(a))
+                        });
+                        san.add_attr_link(lu, la);
+                    }
+                }
+            }
+            CrawlSnapshot {
+                node_coverage: social_origin.len() as f64 / n as f64,
+                link_coverage: links as f64 / truth.num_social_links().max(1) as f64,
+                san,
+                social_origin,
+                attr_origin,
+            }
+        }
+    }
+
+    /// Every day of the crawl log and every rebuilt crawled day equal the
+    /// reference crawl that materialises each day: same graph (including
+    /// the first-encounter numbering of crawl-local attribute ids), same
+    /// counts, same coverage. `Crawler::crawl` agrees with both.
     #[test]
-    fn crawl_at_day_matches_fresh_crawl() {
-        let data = tiny_data();
-        let snap = data.crawl_at_day(50);
-        assert!(snap.san.num_social_nodes() > 0);
-        assert!(snap.san.num_social_nodes() <= data.truth.num_social_nodes());
+    fn crawled_days_match_sequential_crawl() {
+        for seed in 1..=3 {
+            let data = GooglePlus::at_scale(6).generate(seed);
+            let mut reference = ReferenceCrawler {
+                seed: data.crawl_seed,
+                known: Vec::new(),
+            };
+            let mut crawler = Crawler::new(vec![data.crawl_seed]);
+            let mut expected = Vec::new();
+            let mut rows = Vec::new();
+            data.timeline.for_each_day(|day, truth| {
+                let n = truth.num_social_nodes();
+                if data.crawl_seed.index() >= n {
+                    return;
+                }
+                let want = reference.crawl(truth, &data.public[..n]);
+                let got = crawler.crawl(truth, &data.public[..n]);
+                let want_csr = want.san.freeze();
+                assert!(got.san.freeze() == want_csr, "seed {seed} day {day}");
+                assert_eq!(got.attr_origin, want.attr_origin, "seed {seed} day {day}");
+                assert_eq!(got.counts(), want.counts(), "seed {seed} day {day}");
+                rows.push(CrawlDay {
+                    day,
+                    counts: want.counts(),
+                });
+                if day > 0 {
+                    expected.push((day, want_csr));
+                }
+            });
+            assert_eq!(data.crawl_log().days, rows, "seed {seed}");
+
+            let mut expected = expected.into_iter();
+            data.for_each_crawled_day(1, |day, crawled| {
+                let (want_day, want) = expected.next().expect("no extra days");
+                assert_eq!(day, want_day, "seed {seed}");
+                assert!(*crawled == want, "seed {seed} day {day}");
+            });
+            assert!(expected.next().is_none(), "seed {seed}: days missing");
+        }
     }
 
     #[test]

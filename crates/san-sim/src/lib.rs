@@ -19,7 +19,9 @@
 //!   types with named popular values ("Google", "Computer Science", …) —
 //!   [`vocab`].
 //! * **Crawl semantics**: daily snapshot-expanding BFS with both outgoing
-//!   and incoming lists visible on public profiles — [`dataset`].
+//!   and incoming lists visible on public profiles, discovered once per
+//!   dataset ([`CrawlLog`]) and rebuilt only on the days an experiment
+//!   samples — [`dataset`].
 //!
 //! Every experiment binary consumes [`dataset::GooglePlusData`], so the
 //! exact same measurement code would run on a real crawl parsed into a
@@ -29,6 +31,6 @@ pub mod dataset;
 pub mod phases;
 pub mod vocab;
 
-pub use dataset::{GooglePlus, GooglePlusData, GooglePlusParams};
+pub use dataset::{CrawlDay, CrawlLog, GooglePlus, GooglePlusData, GooglePlusParams};
 pub use phases::{arrivals_schedule, reciprocity_schedule};
 pub use vocab::label_attributes;

@@ -7,7 +7,7 @@
 //! ```
 
 use gplus_san::graph::store::SnapshotVault;
-use gplus_san::graph::{CsrSan, ShardedCsrSan};
+use gplus_san::graph::{CsrSan, SanRead, ShardedCsrSan};
 use gplus_san::metrics::clustering::{
     average_clustering_exact, average_clustering_sharded, NodeSet,
 };
@@ -32,10 +32,7 @@ fn main() {
         "\n{:>4} {:>6} {:>9} {:>10} {:>12} {:>12}",
         "day", "phase", "users", "links", "density", "reciprocity"
     );
-    data.crawl_daily(|day, snap| {
-        if day == 0 || day % 7 != 0 {
-            return;
-        }
+    data.for_each_crawled_day(7, |day, snap| {
         let phase = match bounds.phase_of(day) {
             Phase::I => "I",
             Phase::II => "II",
@@ -43,10 +40,10 @@ fn main() {
         };
         println!(
             "{day:>4} {phase:>6} {:>9} {:>10} {:>12.3} {:>12.3}",
-            snap.san.num_social_nodes(),
-            snap.san.num_social_links(),
-            social_density(&snap.san),
-            global_reciprocity(&snap.san),
+            snap.num_social_nodes(),
+            snap.num_social_links(),
+            social_density(snap),
+            global_reciprocity(snap),
         );
     });
 
