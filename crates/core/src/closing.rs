@@ -17,6 +17,15 @@
 //! that a scheme proposes a given target — the quantity behind the paper's
 //! "RR performs 14 % better than Baseline, RR-SAN 36 % better than RR"
 //! comparison.
+//!
+//! The schemes read the network only through [`SanRead`]. The walks take
+//! one `Γs` row per hop, so the representation decides their cost: on a
+//! mutable [`San`](san_graph::San) every `Γs(w)` is merged, sorted and
+//! allocated on the spot, while the generator in [`model`](crate::model) hands
+//! them [`TimelineBuilder::view`](san_graph::TimelineBuilder::view),
+//! whose rows are stored sorted and borrowed. Both give the same sorted
+//! rows, so a walk draws the same targets with the same random numbers
+//! on either.
 
 use crate::error::ModelError;
 use san_graph::{SanRead, SocialId};

@@ -36,7 +36,7 @@
 use crate::attach::LapaSampler;
 use crate::closing::ClosingModel;
 use crate::error::ModelError;
-use san_graph::{AttrId, AttrType, San, SanEvent, SanTimeline, SocialId, TimelineBuilder};
+use san_graph::{AttrId, AttrType, San, SanEvent, SanRead, SanTimeline, SocialId, TimelineBuilder};
 use san_stats::{DiscreteLognormal, Exponential, Geometric, SplitRng, TruncatedNormal};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -638,7 +638,8 @@ impl SanModel {
                     continue; // lifetime over: retire the node.
                 }
                 // Outgoing linking via triangle closing.
-                if let Some(v) = p.closing.sample(tb.san(), u, &mut rng) {
+                // The builder view hands the walk stored Γs rows.
+                if let Some(v) = p.closing.sample(&tb.view(), u, &mut rng) {
                     if tb.add_social_link(u, v) {
                         sampler.on_social_link(tb.san(), v);
                         self.maybe_reciprocate(
@@ -797,10 +798,11 @@ impl SanModel {
         // Zhel-style friend copying first, when configured.
         if let AttrAssign::FriendCopy { copy_prob, .. } = self.params.attr_assign {
             if rng.chance(copy_prob) {
-                let friends = tb.san().social_neighbors(u);
+                let view = tb.view();
+                let friends = view.social_neighbors(u);
                 if !friends.is_empty() {
                     let w = friends[rng.below(friends.len() as u64) as usize];
-                    let w_attrs = tb.san().attrs_of(w);
+                    let w_attrs = view.attrs_of(w);
                     if !w_attrs.is_empty() {
                         return Some(w_attrs[rng.below(w_attrs.len() as u64) as usize]);
                     }

@@ -54,12 +54,22 @@ pub fn timing_analysis_probability(
         san.num_social_nodes(),
         "compromise vector must cover all users"
     );
-    let n = san.num_social_nodes();
+    attack_probability(&to_undirected(san), cfg, compromised, rng)
+}
+
+/// The Monte-Carlo body of [`timing_analysis_probability`] over an
+/// already-built undirected adjacency: bound the degrees, then walk.
+fn attack_probability(
+    adj: &[Vec<u32>],
+    cfg: AnonymityConfig,
+    compromised: &[bool],
+    rng: &mut SplitRng,
+) -> f64 {
+    let n = adj.len();
     if n == 0 || cfg.samples == 0 {
         return 0.0;
     }
-    let adj = to_undirected(san);
-    let bounded = bound_degrees(&adj, cfg.degree_bound, rng);
+    let bounded = bound_degrees(adj, cfg.degree_bound, rng);
     let mut attacks = 0usize;
     for _ in 0..cfg.samples {
         // Uniform honest initiator (retry a few times; if everything is
@@ -97,17 +107,23 @@ pub fn timing_analysis_probability(
 }
 
 /// The Fig. 19b curve: attack probability per compromise count.
+///
+/// The undirected graph is built once for the whole curve; the degree
+/// bound is still drawn afresh per count, so the RNG stream (and every
+/// point) is exactly that of calling [`timing_analysis_probability`] per
+/// count.
 pub fn timing_analysis_curve(
     san: &impl SanRead,
     cfg: AnonymityConfig,
     counts: &[usize],
     rng: &mut SplitRng,
 ) -> Vec<(usize, f64)> {
+    let adj = to_undirected(san);
     counts
         .iter()
         .map(|&c| {
             let compromised = crate::sybil::compromise_uniform(san, c, rng);
-            (c, timing_analysis_probability(san, cfg, &compromised, rng))
+            (c, attack_probability(&adj, cfg, &compromised, rng))
         })
         .collect()
 }
@@ -200,6 +216,36 @@ mod tests {
         };
         let curve = timing_analysis_curve(&san, cfg, &[5, 30], &mut rng);
         assert!(curve[1].1 > curve[0].1, "{curve:?}");
+    }
+
+    #[test]
+    fn curve_equals_per_count_probabilities() {
+        // Building the undirected graph once per curve must not move a
+        // single RNG draw: the curve is the per-count loop, bit for bit.
+        let mut san = clique(30);
+        let extra: Vec<SocialId> = (0..20).map(|_| san.add_social_node()).collect();
+        for (i, &u) in extra.iter().enumerate() {
+            san.add_social_link(u, SocialId((i % 30) as u32));
+        }
+        let cfg = AnonymityConfig {
+            degree_bound: 8,
+            circuit_length: 4,
+            samples: 3_000,
+        };
+        let counts = [0, 3, 10, 50];
+        let curve = timing_analysis_curve(&san, cfg, &counts, &mut SplitRng::new(21));
+        let mut rng = SplitRng::new(21);
+        let looped: Vec<(usize, f64)> = counts
+            .iter()
+            .map(|&c| {
+                let compromised = crate::sybil::compromise_uniform(&san, c, &mut rng);
+                (
+                    c,
+                    timing_analysis_probability(&san, cfg, &compromised, &mut rng),
+                )
+            })
+            .collect();
+        assert_eq!(curve, looped);
     }
 
     #[test]

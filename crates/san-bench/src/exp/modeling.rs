@@ -277,7 +277,11 @@ pub fn alg2(ctx: &Ctx) {
         "Alg 2",
         "constant-time clustering estimator: error vs budget",
     );
-    let san = &ctx.crawl.san;
+    // Frozen once: every sample reads a sorted CSR `Γs(u)` slice instead
+    // of re-merging the mutable adjacency lists; the slices and the RNG
+    // draws are the same, so the output is too.
+    let csr = ctx.crawl.san.freeze();
+    let san = &csr;
     let exact = average_clustering_exact(san, NodeSet::Social);
     println!("exact average social clustering = {exact:.5}");
     println!(

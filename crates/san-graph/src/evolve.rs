@@ -6,11 +6,15 @@
 //! prefix of events with `day ≤ t`. Generators build timelines through
 //! [`TimelineBuilder`], which maintains the live [`San`] (so models can
 //! query degrees and neighbourhoods while growing the network) and records
-//! every mutation.
+//! every mutation. Its [`BuilderView`] adds the one query the mutable
+//! adjacency lists answer slowly — the sorted `Γs(u)` row a triangle-
+//! closing walk reads on every step.
 
 use crate::ids::{AttrId, AttrType, SocialId};
+use crate::read::SanRead;
 use crate::san::San;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One growth event. Node ids are implicit: the `k`-th `SocialNode` event
 /// creates `SocialId(k)`, and likewise for attribute nodes — replay is
@@ -477,9 +481,20 @@ impl Iterator for SnapshotStream<'_> {
 /// Generators call the same mutation API as [`San`]; every successful
 /// mutation is appended to the log. Days advance monotonically through
 /// [`TimelineBuilder::advance_to_day`].
+///
+/// Besides the [`San`], the builder keeps one sorted, deduplicated
+/// `Γs(u)` row per social node, updated by binary-search insertion on
+/// every new social link. [`San::social_neighbors`] has to merge, sort
+/// and allocate the in- and out-lists on every call; the generator's
+/// random-walk closing ([`view`](TimelineBuilder::view)) reads the stored
+/// row instead. The rows live only as long as the builder:
+/// [`finish`](TimelineBuilder::finish) drops them, so the finished
+/// network costs what a plain [`San`] costs.
 #[derive(Debug, Clone, Default)]
 pub struct TimelineBuilder {
     san: San,
+    /// `Γs(u)` per social node: sorted, deduplicated, never containing `u`.
+    social_rows: Vec<Vec<SocialId>>,
     events: Vec<SanEvent>,
     day: u32,
 }
@@ -513,9 +528,22 @@ impl TimelineBuilder {
         &self.san
     }
 
+    /// The live network as a [`SanRead`] whose
+    /// [`social_neighbors`](SanRead::social_neighbors) borrows the stored
+    /// `Γs(u)` row instead of materialising it. Every other query
+    /// delegates to the [`San`], so any analytic or model sees exactly the
+    /// answers [`san`](TimelineBuilder::san) gives.
+    pub fn view(&self) -> BuilderView<'_> {
+        BuilderView {
+            san: &self.san,
+            social_rows: &self.social_rows,
+        }
+    }
+
     /// Adds a social node now.
     pub fn add_social_node(&mut self) -> SocialId {
         let id = self.san.add_social_node();
+        self.social_rows.push(Vec::new());
         self.events.push(SanEvent::SocialNode { day: self.day });
         id
     }
@@ -532,6 +560,8 @@ impl TimelineBuilder {
     pub fn add_social_link(&mut self, src: SocialId, dst: SocialId) -> bool {
         let added = self.san.add_social_link(src, dst);
         if added {
+            self.insert_row_entry(src, dst);
+            self.insert_row_entry(dst, src);
             self.events.push(SanEvent::SocialLink {
                 day: self.day,
                 src,
@@ -539,6 +569,16 @@ impl TimelineBuilder {
             });
         }
         added
+    }
+
+    /// Inserts `v` into `Γs(u)` keeping the row sorted; a no-op when the
+    /// reverse link already put it there.
+    fn insert_row_entry(&mut self, u: SocialId, v: SocialId) {
+        if let Some(row) = self.social_rows.get_mut(u.index()) {
+            if let Err(at) = row.binary_search(&v) {
+                row.insert(at, v);
+            }
+        }
     }
 
     /// Adds an attribute link now; duplicates are not recorded and return
@@ -572,7 +612,7 @@ impl TimelineBuilder {
 
     /// Finalises the log, returning the timeline and the fully-grown
     /// network (identical to `timeline.final_snapshot()` but avoids a
-    /// replay).
+    /// replay). The stored `Γs` rows are dropped here.
     pub fn finish(self) -> (SanTimeline, San) {
         (
             SanTimeline {
@@ -580,6 +620,86 @@ impl TimelineBuilder {
             },
             self.san,
         )
+    }
+}
+
+/// A borrowed [`SanRead`] over a [`TimelineBuilder`]'s live network,
+/// made by [`TimelineBuilder::view`].
+///
+/// [`social_neighbors`](SanRead::social_neighbors) is the builder's stored
+/// `Γs(u)` row (`Cow::Borrowed`, no allocation); everything else —
+/// including [`has_social_link`](SanRead::has_social_link) and
+/// [`common_attrs`](SanRead::common_attrs) — is the [`San`]'s own answer.
+#[derive(Debug, Clone, Copy)]
+pub struct BuilderView<'a> {
+    san: &'a San,
+    social_rows: &'a [Vec<SocialId>],
+}
+
+impl SanRead for BuilderView<'_> {
+    #[inline]
+    fn num_social_nodes(&self) -> usize {
+        self.san.num_social_nodes()
+    }
+
+    #[inline]
+    fn num_attr_nodes(&self) -> usize {
+        self.san.num_attr_nodes()
+    }
+
+    #[inline]
+    fn num_social_links(&self) -> usize {
+        self.san.num_social_links()
+    }
+
+    #[inline]
+    fn num_attr_links(&self) -> usize {
+        self.san.num_attr_links()
+    }
+
+    #[inline]
+    fn out_neighbors(&self, u: SocialId) -> &[SocialId] {
+        self.san.out_neighbors(u)
+    }
+
+    #[inline]
+    fn in_neighbors(&self, u: SocialId) -> &[SocialId] {
+        self.san.in_neighbors(u)
+    }
+
+    #[inline]
+    fn attrs_of(&self, u: SocialId) -> &[AttrId] {
+        self.san.attrs_of(u)
+    }
+
+    #[inline]
+    fn members_of(&self, a: AttrId) -> &[SocialId] {
+        self.san.members_of(a)
+    }
+
+    #[inline]
+    fn attr_type(&self, a: AttrId) -> AttrType {
+        self.san.attr_type(a)
+    }
+
+    fn has_social_link(&self, src: SocialId, dst: SocialId) -> bool {
+        self.san.has_social_link(src, dst)
+    }
+
+    fn has_attr_link(&self, user: SocialId, attr: AttrId) -> bool {
+        self.san.has_attr_link(user, attr)
+    }
+
+    fn social_neighbors(&self, u: SocialId) -> Cow<'_, [SocialId]> {
+        Cow::Borrowed(self.social_rows.get(u.index()).map_or(&[], Vec::as_slice))
+    }
+
+    fn common_attrs(&self, u: SocialId, v: SocialId) -> usize {
+        self.san.common_attrs(u, v)
+    }
+
+    fn common_social_neighbors(&self, u: SocialId, v: SocialId) -> usize {
+        self.san.common_social_neighbors(u, v)
     }
 }
 

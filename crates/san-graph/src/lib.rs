@@ -109,7 +109,7 @@ pub mod wire;
 pub use builder::SanBuilder;
 pub use csr::CsrSan;
 pub use delta::DeltaFreezer;
-pub use evolve::{DayCounts, SanEvent, SanTimeline, SnapshotStream, TimelineBuilder};
+pub use evolve::{BuilderView, DayCounts, SanEvent, SanTimeline, SnapshotStream, TimelineBuilder};
 pub use ids::{AttrId, AttrType, SocialId};
 pub use meter::{LatencyHistogram, VaultMetrics};
 #[cfg(unix)]
@@ -126,7 +126,9 @@ pub mod prelude {
     pub use crate::builder::SanBuilder;
     pub use crate::csr::CsrSan;
     pub use crate::delta::DeltaFreezer;
-    pub use crate::evolve::{DayCounts, SanEvent, SanTimeline, SnapshotStream, TimelineBuilder};
+    pub use crate::evolve::{
+        BuilderView, DayCounts, SanEvent, SanTimeline, SnapshotStream, TimelineBuilder,
+    };
     pub use crate::ids::{AttrId, AttrType, SocialId};
     pub use crate::meter::{LatencyHistogram, VaultMetrics};
     #[cfg(unix)]

@@ -319,6 +319,60 @@ proptest! {
         prop_assert!(replay.check_consistency().is_ok());
     }
 
+    /// The builder's stored `Γs` rows track the live network through any
+    /// mutation sequence — self-loops, duplicates and reverse links
+    /// included: after every step the view's borrowed row equals
+    /// `San::social_neighbors`, and the delegated queries equal the San's.
+    #[test]
+    fn builder_view_rows_match_san(
+        ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..160)
+    ) {
+        let mut tb = TimelineBuilder::new();
+        let mut last: Option<(SocialId, SocialId)> = None;
+        for (op, x, y) in ops {
+            let ns = tb.san().num_social_nodes() as u32;
+            let na = tb.san().num_attr_nodes() as u32;
+            match op {
+                0 => { tb.add_social_node(); }
+                1 => { tb.add_attr_node(AttrType::Other); }
+                // Any pair, self-loops included (the builder rejects them).
+                2 if ns >= 1 => {
+                    let (u, v) = (SocialId(x % ns), SocialId(y % ns));
+                    tb.add_social_link(u, v);
+                    last = Some((u, v));
+                }
+                // Repeat the last link (a duplicate) or add its reverse.
+                3 => {
+                    if let Some((u, v)) = last {
+                        if x % 2 == 0 {
+                            tb.add_social_link(u, v);
+                        } else {
+                            tb.add_social_link(v, u);
+                        }
+                    }
+                }
+                4 if ns >= 1 && na >= 1 => {
+                    tb.add_attr_link(SocialId(x % ns), AttrId(y % na));
+                }
+                _ => {}
+            }
+            let view = tb.view();
+            let san = tb.san();
+            prop_assert_eq!(view.num_social_links(), san.num_social_links());
+            for u in san.social_nodes() {
+                prop_assert_eq!(
+                    view.social_neighbors(u).as_ref(),
+                    San::social_neighbors(san, u).as_slice()
+                );
+            }
+            if ns >= 1 {
+                let (u, v) = (SocialId(x % ns), SocialId(y % ns));
+                prop_assert_eq!(view.has_social_link(u, v), san.has_social_link(u, v));
+                prop_assert_eq!(view.common_attrs(u, v), san.common_attrs(u, v));
+            }
+        }
+    }
+
     /// Snapshot monotonicity: counts never decrease over days.
     #[test]
     fn snapshots_monotone(

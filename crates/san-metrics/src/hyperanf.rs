@@ -15,14 +15,104 @@
 //! The **effective diameter** is the interpolated 90th-percentile distance
 //! among connected pairs.
 //!
+//! # Incremental rounds
+//!
+//! The counters of all nodes live in one flat register buffer (`n · 2^b`
+//! bytes), double-buffered: round `t+1` writes the buffer that held round
+//! `t-1`. A round only touches what can change, and the result is still
+//! **bit-for-bit** the synchronous round above:
+//!
+//! * *Dirty nodes.* Union is a register-wise max, so after round `t`
+//!   every `c_u(t)` already contains `c_v(t-1)` for each successor `v`.
+//!   If no successor changed in round `t`, `c_u(t+1) = c_u(t)`; `u` is
+//!   recomputed only when some successor changed, and then only the
+//!   changed successors are unioned in (the others are already inside).
+//!   Round 1 treats every node as changed.
+//! * *Stale rows.* A node that is not recomputed keeps the row the buffer
+//!   holds from round `t-1`. That row is current unless the node itself
+//!   changed in round `t`, in which case its round-`t` row is copied over.
+//! * *Cached estimates.* A node's estimate is recomputed only when its
+//!   counter changed. The `2^-r` terms come from a table of exact powers
+//!   of two, so every estimate is bit-for-bit what `powi` gives, and
+//!   `N(t)` still sums the counted nodes' estimates in node order — the
+//!   same floating-point sum as the synchronous algorithm.
+//!
+//! The sequential [`neighborhood_function`] and the shard-parallel
+//! [`neighborhood_function_sharded`] run the same per-range round kernel;
+//! the sharded form just hands each shard's node range to its own thread.
+//!
 //! The paper's **attribute distance** (§4.1) between attribute nodes `a, b`
 //! is `min{dist(u,v) | u ∈ Γs(a), v ∈ Γs(b)} + 1`. We compute it on a
 //! *lifted* graph (attribute nodes wired to their members in both
 //! directions): lifted distances equal attribute distances plus one, so the
 //! attribute diameter falls out of the same machinery.
 
-use san_graph::{SanRead, ShardedCsrSan, SocialId};
+use san_graph::{AttrId, SanRead, ShardedCsrSan, SocialId};
 use san_stats::SplitRng;
+use std::ops::Range;
+
+/// `2^-r` for every reachable register value. A rank is at most
+/// `65 - b ≤ 61` (see [`insert_register`]), so 65 entries cover every
+/// register; each entry is an exact power of two, built from its IEEE-754
+/// exponent field.
+const POW2_NEG: [f64; 65] = {
+    let mut table = [0.0f64; 65];
+    let mut r = 0;
+    while r < 65 {
+        table[r] = f64::from_bits((1023 - r as u64) << 52);
+        r += 1;
+    }
+    table
+};
+
+/// Folds a pre-hashed value into a register row of `2^b` registers.
+#[inline]
+fn insert_register(registers: &mut [u8], b: u8, hash: u64) {
+    let idx = (hash >> (64 - b)) as usize;
+    let rest = hash << b;
+    // Rank = position of the leftmost 1 bit in the remaining bits, 1-based.
+    let rank = (rest.leading_zeros() as u8).min(64 - b) + 1;
+    if let Some(slot) = registers.get_mut(idx) {
+        if rank > *slot {
+            *slot = rank;
+        }
+    }
+}
+
+/// Register-wise max of `src` into `dst`; `true` when any register grew.
+///
+/// Branch-free, so the loop vectorises: `o - r` saturates to 0 unless
+/// `o > r`, and `grew` collects every such increase.
+#[inline]
+fn union_registers(dst: &mut [u8], src: &[u8]) -> bool {
+    let mut grew = 0u8;
+    for (r, &o) in dst.iter_mut().zip(src) {
+        grew |= o.saturating_sub(*r);
+        *r = (*r).max(o);
+    }
+    grew != 0
+}
+
+/// HyperLogLog estimate of one register row (with the standard
+/// small-range linear-counting correction).
+fn estimate_registers(registers: &[u8]) -> f64 {
+    let m = registers.len() as f64;
+    let alpha = match registers.len() {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m),
+    };
+    let sum: f64 = registers.iter().map(|&r| POW2_NEG[usize::from(r)]).sum();
+    let raw = alpha * m * m / sum;
+    if raw <= 2.5 * m {
+        let zeros = registers.iter().filter(|&&r| r == 0).count();
+        if zeros > 0 {
+            return m * (m / zeros as f64).ln();
+        }
+    }
+    raw
+}
 
 /// A HyperLogLog cardinality counter with `2^b` registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,52 +136,20 @@ impl HyperLogLog {
 
     /// Inserts a pre-hashed 64-bit value.
     pub fn insert_hash(&mut self, hash: u64) {
-        let idx = (hash >> (64 - self.b)) as usize;
-        let rest = hash << self.b;
-        // Rank = position of the leftmost 1 bit in the remaining bits, 1-based.
-        let rank = (rest.leading_zeros() as u8).min(64 - self.b) + 1;
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
-        }
+        insert_register(&mut self.registers, self.b, hash);
     }
 
     /// Unions another counter into this one; returns `true` when any
     /// register changed (HyperANF's convergence signal).
     pub fn union_with(&mut self, other: &HyperLogLog) -> bool {
         debug_assert_eq!(self.b, other.b, "incompatible register widths");
-        let mut changed = false;
-        for (r, &o) in self.registers.iter_mut().zip(&other.registers) {
-            if o > *r {
-                *r = o;
-                changed = true;
-            }
-        }
-        changed
+        union_registers(&mut self.registers, &other.registers)
     }
 
     /// Estimated cardinality (with the standard small-range linear-counting
     /// correction).
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let alpha = match self.registers.len() {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
-        };
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 2f64.powi(-i32::from(r)))
-            .sum();
-        let raw = alpha * m * m / sum;
-        if raw <= 2.5 * m {
-            let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-            if zeros > 0 {
-                return m * (m / zeros as f64).ln();
-            }
-        }
-        raw
+        estimate_registers(&self.registers)
     }
 }
 
@@ -105,6 +163,135 @@ fn hash_node(id: u64, seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One round's read side: every node's round-`t` registers and change
+/// flags (shared by all range workers).
+#[derive(Clone, Copy)]
+struct RoundInput<'a> {
+    /// Registers per node (`2^b`).
+    m: usize,
+    registers: &'a [u8],
+    changed: &'a [bool],
+}
+
+/// One round's write side for a contiguous node range: that range's rows
+/// of the round-`t+1` buffer, its change flags, its cached estimates and
+/// which of its nodes count towards `N(t)`.
+struct RangeOut<'a> {
+    registers: &'a mut [u8],
+    changed: &'a mut [bool],
+    estimates: &'a mut [f64],
+    count: &'a [bool],
+}
+
+/// The one round kernel: advances the nodes of `range` by one hop (see
+/// the module docs for why skipping clean nodes is exact). Returns whether
+/// any counter of the range changed.
+fn round_range<I: IntoIterator<Item = usize>>(
+    range: Range<usize>,
+    succ: &impl Fn(usize) -> I,
+    cur: RoundInput<'_>,
+    out: RangeOut<'_>,
+) -> bool {
+    let m = cur.m;
+    let row_of = |u: usize| cur.registers.get(u * m..(u + 1) * m).unwrap_or(&[]);
+    let mut any = false;
+    let slots = out
+        .registers
+        .chunks_exact_mut(m)
+        .zip(out.changed.iter_mut())
+        .zip(out.estimates.iter_mut())
+        .zip(out.count);
+    for (u, (((row, changed), estimate), &counted)) in range.zip(slots) {
+        let own = row_of(u);
+        let mut fresh = false;
+        let mut grew = false;
+        for v in succ(u) {
+            if cur.changed.get(v).copied().unwrap_or(false) {
+                if !fresh {
+                    row.copy_from_slice(own);
+                    fresh = true;
+                }
+                grew |= union_registers(row, row_of(v));
+            }
+        }
+        if !fresh && cur.changed.get(u).copied().unwrap_or(false) {
+            // Not recomputed, but the buffer still holds its round t-1 row.
+            row.copy_from_slice(own);
+        }
+        *changed = grew;
+        if grew && counted {
+            *estimate = estimate_registers(row);
+        }
+        any |= grew;
+    }
+    any
+}
+
+/// The shared HyperANF driver: seeds the counters, then calls `round`
+/// until convergence or `max_iters` rounds, collecting `N(t)`.
+///
+/// `round(input, out)` must advance every node by one hop, writing the
+/// whole-graph [`RangeOut`] (directly or split across workers), and return
+/// whether any counter changed.
+fn anf_series(
+    n: usize,
+    init: impl Fn(usize) -> bool,
+    count: &[bool],
+    b: u8,
+    max_iters: usize,
+    seed: u64,
+    mut round: impl FnMut(RoundInput<'_>, RangeOut<'_>) -> bool,
+) -> Vec<f64> {
+    if n == 0 {
+        return vec![0.0];
+    }
+    // Registers per node; `HyperLogLog::new` also range-checks `b`.
+    let m = HyperLogLog::new(b).registers.len();
+    let mut cur = vec![0u8; n * m];
+    let mut estimates = vec![0.0f64; n];
+    for (u, (row, estimate)) in cur.chunks_exact_mut(m).zip(&mut estimates).enumerate() {
+        if init(u) {
+            insert_register(row, b, hash_node(u as u64, seed));
+        }
+        if count.get(u).copied().unwrap_or(false) {
+            *estimate = estimate_registers(row);
+        }
+    }
+    let total = |est: &[f64]| -> f64 {
+        est.iter()
+            .zip(count)
+            .filter(|(_, &keep)| keep)
+            .map(|(e, _)| *e)
+            .sum()
+    };
+    let mut next = cur.clone();
+    // Round 1 treats every counter as freshly changed.
+    let mut changed = vec![true; n];
+    let mut next_changed = vec![false; n];
+    let mut series = vec![total(&estimates)];
+    for _ in 0..max_iters {
+        let input = RoundInput {
+            m,
+            registers: &cur,
+            changed: &changed,
+        };
+        let out = RangeOut {
+            registers: &mut next,
+            changed: &mut next_changed,
+            estimates: &mut estimates,
+            count,
+        };
+        let any_changed = round(input, out);
+        std::mem::swap(&mut cur, &mut next);
+        std::mem::swap(&mut changed, &mut next_changed);
+        if !any_changed {
+            break;
+        }
+        series.push(total(&estimates));
+    }
+    series
 }
 
 /// HyperANF over an arbitrary successor structure.
@@ -126,56 +313,38 @@ pub fn neighborhood_function(
     let n = adj.len();
     assert_eq!(init.len(), n);
     assert_eq!(count.len(), n);
-    if n == 0 {
-        return vec![0.0];
-    }
-    let mut counters: Vec<HyperLogLog> = (0..n)
-        .map(|u| {
-            let mut c = HyperLogLog::new(b);
-            if init[u] {
-                c.insert_hash(hash_node(u as u64, seed));
-            }
-            c
-        })
-        .collect();
-    let estimate_total = |cs: &[HyperLogLog]| -> f64 {
-        cs.iter()
-            .zip(count)
-            .filter(|(_, &keep)| keep)
-            .map(|(c, _)| c.estimate())
-            .sum()
-    };
-    let mut series = vec![estimate_total(&counters)];
-    for _ in 0..max_iters {
-        let mut next = counters.clone();
-        let mut any_changed = false;
-        for (u, outs) in adj.iter().enumerate() {
-            for &v in outs {
-                if next[u].union_with(&counters[v as usize]) {
-                    any_changed = true;
-                }
-            }
-        }
-        counters = next;
-        if !any_changed {
-            break;
-        }
-        series.push(estimate_total(&counters));
-    }
-    series
+    let succ = |u: usize| adj[u].iter().map(|&v| v as usize);
+    sequential_series(n, succ, |u| init[u], count, b, max_iters, seed)
+}
+
+/// Single-threaded HyperANF over nodes `0..n` with successors `succ(u)`:
+/// every round is one call of the range kernel over the whole range.
+fn sequential_series<I: IntoIterator<Item = usize>>(
+    n: usize,
+    succ: impl Fn(usize) -> I,
+    init: impl Fn(usize) -> bool,
+    count: &[bool],
+    b: u8,
+    max_iters: usize,
+    seed: u64,
+) -> Vec<f64> {
+    anf_series(n, init, count, b, max_iters, seed, |cur, out| {
+        round_range(0..n, &succ, cur, out)
+    })
 }
 
 /// Carves `buf` into disjoint mutable chunks matching contiguous `ranges`
-/// (which must cover `0..buf.len()` exactly — what
-/// [`ShardedCsrSan::social_ranges`] yields), so scoped shard workers can
-/// write their own node range without locks.
+/// of `stride`-element rows (the ranges must cover the buffer exactly —
+/// what [`ShardedCsrSan::social_ranges`] yields), so scoped shard workers
+/// can write their own node range without locks.
 fn split_chunks<'a, T>(
     mut buf: &'a mut [T],
-    ranges: &[std::ops::Range<usize>],
+    ranges: &[Range<usize>],
+    stride: usize,
 ) -> Vec<&'a mut [T]> {
     let mut out = Vec::with_capacity(ranges.len());
     for r in ranges {
-        let (head, tail) = buf.split_at_mut(r.len());
+        let (head, tail) = buf.split_at_mut((r.len() * stride).min(buf.len()));
         out.push(head);
         buf = tail;
     }
@@ -185,13 +354,14 @@ fn split_chunks<'a, T>(
 
 /// Shard-parallel HyperANF over the directed social graph.
 ///
-/// Decomposition: every synchronous round writes `c_u(t+1)` for the nodes
-/// a shard owns into that shard's disjoint chunk of the double buffer,
-/// reading the previous round's counters globally (`c_v(t)` of an
-/// out-neighbour in another shard is just a shared read) — so the register
-/// evolution is **bit-for-bit identical** to [`neighborhood_function`]
-/// over the same adjacency. Per-node estimates are likewise filled into a
-/// shard-chunked buffer and then summed sequentially in node order, which
+/// Decomposition: every round runs the same range kernel as
+/// [`neighborhood_function`] once per shard, each writing the nodes it
+/// owns into that shard's disjoint chunk of the double buffer and reading
+/// the previous round's registers and change flags globally (`c_v(t)` of
+/// an out-neighbour in another shard is just a shared read) — so the
+/// register evolution is **bit-for-bit identical** to the sequential
+/// algorithm over the same adjacency. Cached per-node estimates are
+/// likewise written per shard and summed sequentially in node order, which
 /// keeps the reported series (and therefore the interpolated diameter)
 /// bit-identical too, not merely close.
 pub fn neighborhood_function_sharded(
@@ -202,104 +372,63 @@ pub fn neighborhood_function_sharded(
 ) -> Vec<f64> {
     let csr = g.csr();
     let n = csr.num_social_nodes();
-    if n == 0 {
-        return vec![0.0];
-    }
     let ranges = g.social_ranges();
-    let mut counters: Vec<HyperLogLog> = (0..n)
-        .map(|u| {
-            let mut c = HyperLogLog::new(b);
-            c.insert_hash(hash_node(u as u64, seed));
-            c
-        })
-        .collect();
-    let mut next = counters.clone();
-    let mut estimates = vec![0.0f64; n];
-
-    // One hop for the nodes of one chunk: copy each node's own counter
-    // (reusing the slot's register buffer — no per-round allocation),
-    // union the out-neighbours' previous-round counters. Returns the
-    // chunk's convergence flag.
-    let union_chunk =
-        |chunk: &mut [HyperLogLog], range: std::ops::Range<usize>, cur: &[HyperLogLog]| -> bool {
-            let mut changed = false;
-            for (slot, u) in chunk.iter_mut().zip(range) {
-                slot.registers.copy_from_slice(&cur[u].registers);
-                for &v in csr.out_neighbors(SocialId(u as u32)) {
-                    if slot.union_with(&cur[v.index()]) {
-                        changed = true;
-                    }
-                }
-            }
-            changed
-        };
-    let estimate_chunk = |chunk: &mut [f64], range: std::ops::Range<usize>, cur: &[HyperLogLog]| {
-        for (slot, u) in chunk.iter_mut().zip(range) {
-            *slot = cur[u].estimate();
-        }
+    let succ = |u: usize| {
+        csr.out_neighbors(SocialId(u as u32))
+            .iter()
+            .map(|v| v.index())
     };
-
-    // One hop for every owned node. Returns the convergence flag (any
-    // register changed anywhere). A single non-empty chunk (K = 1, or
-    // every other shard empty) runs inline — no hand-off worth paying for.
-    let run_round = |cur: &[HyperLogLog], next: &mut Vec<HyperLogLog>| -> bool {
-        let chunks = split_chunks(&mut next[..], &ranges);
-        if chunks.iter().filter(|c| !c.is_empty()).count() <= 1 {
-            return chunks
-                .into_iter()
-                .zip(&ranges)
-                .map(|(chunk, range)| union_chunk(chunk, range.clone(), cur))
-                .fold(false, |acc, changed| acc | changed);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .zip(&ranges)
-                .filter(|(chunk, _)| !chunk.is_empty())
-                .map(|(chunk, range)| scope.spawn(|| union_chunk(chunk, range.clone(), cur)))
+    let count = vec![true; n];
+    anf_series(
+        n,
+        |_| true,
+        &count,
+        b,
+        max_iters,
+        seed,
+        |cur, out| {
+            let registers = split_chunks(out.registers, &ranges, cur.m);
+            let changed = split_chunks(out.changed, &ranges, 1);
+            let estimates = split_chunks(out.estimates, &ranges, 1);
+            let mut count = out.count;
+            let parts: Vec<(Range<usize>, RangeOut<'_>)> = ranges
+                .iter()
+                .zip(registers.into_iter().zip(changed).zip(estimates))
+                .map(|(range, ((registers, changed), estimates))| {
+                    let (head, tail) = count.split_at(range.len().min(count.len()));
+                    count = tail;
+                    let out = RangeOut {
+                        registers,
+                        changed,
+                        estimates,
+                        count: head,
+                    };
+                    (range.clone(), out)
+                })
+                .filter(|(range, _)| !range.is_empty())
                 .collect();
-            handles.into_iter().fold(false, |acc, h| {
-                acc | match h.join() {
-                    Ok(v) => v,
-                    // Forward the worker's panic payload unchanged.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            })
-        })
-    };
-
-    // N(t) = Σ_u |c_u(t)|: per-node estimates in parallel, one sequential
-    // node-order sum (so the float result matches the sequential code).
-    let estimate_total = |cur: &[HyperLogLog], est: &mut Vec<f64>| -> f64 {
-        let chunks = split_chunks(&mut est[..], &ranges);
-        if chunks.iter().filter(|c| !c.is_empty()).count() <= 1 {
-            for (chunk, range) in chunks.into_iter().zip(&ranges) {
-                estimate_chunk(chunk, range.clone(), cur);
+            // A single non-empty shard (K = 1, or every other shard empty)
+            // runs inline — no hand-off worth paying for.
+            if parts.len() <= 1 {
+                return parts.into_iter().fold(false, |acc, (range, out)| {
+                    acc | round_range(range, &succ, cur, out)
+                });
             }
-        } else {
             std::thread::scope(|scope| {
-                for (chunk, range) in chunks
+                let handles: Vec<_> = parts
                     .into_iter()
-                    .zip(&ranges)
-                    .filter(|(chunk, _)| !chunk.is_empty())
-                {
-                    scope.spawn(|| estimate_chunk(chunk, range.clone(), cur));
-                }
-            });
-        }
-        est.iter().sum()
-    };
-
-    let mut series = vec![estimate_total(&counters, &mut estimates)];
-    for _ in 0..max_iters {
-        let any_changed = run_round(&counters, &mut next);
-        std::mem::swap(&mut counters, &mut next);
-        if !any_changed {
-            break;
-        }
-        series.push(estimate_total(&counters, &mut estimates));
-    }
-    series
+                    .map(|(range, out)| scope.spawn(|| round_range(range, &succ, cur, out)))
+                    .collect();
+                handles.into_iter().fold(false, |acc, h| {
+                    acc | match h.join() {
+                        Ok(v) => v,
+                        // Forward the worker's panic payload unchanged.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                })
+            })
+        },
+    )
 }
 
 /// Shard-parallel effective social diameter: [`neighborhood_function_sharded`]
@@ -346,12 +475,14 @@ pub fn effective_diameter_from_nf(nf: &[f64], q: f64) -> f64 {
 /// `b` controls HyperLogLog accuracy (the paper's tool uses comparable
 /// register budgets); `seed` fixes the hash salt.
 pub fn social_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64) -> f64 {
-    let adj: Vec<Vec<u32>> = san
-        .social_nodes()
-        .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
-        .collect();
-    let init = vec![true; adj.len()];
-    let nf = neighborhood_function(&adj, &init, &init, b, 256, seed);
+    let n = san.num_social_nodes();
+    let succ = |u: usize| {
+        san.out_neighbors(SocialId(u as u32))
+            .iter()
+            .map(|v| v.index())
+    };
+    let count = vec![true; n];
+    let nf = sequential_series(n, succ, |_| true, &count, b, 256, seed);
     effective_diameter_from_nf(&nf, q)
 }
 
@@ -364,25 +495,24 @@ pub fn attribute_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64
     if m == 0 {
         return 0.0;
     }
-    // Lifted graph: social nodes 0..n, attribute nodes n..n+m.
-    let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n + m);
-    for u in san.social_nodes() {
-        let mut outs: Vec<u32> = san.out_neighbors(u).iter().map(|v| v.0).collect();
-        // u -> its attributes (so a path …→v→b terminates at b).
-        outs.extend(san.attrs_of(u).iter().map(|a| n as u32 + a.0));
-        adj.push(outs);
-    }
-    for a in san.attr_nodes() {
-        // a -> its members (so a path a→u→… starts at a).
-        adj.push(san.members_of(a).iter().map(|u| u.0).collect());
-    }
-    let mut init = vec![false; n + m];
-    let mut count = vec![false; n + m];
-    for i in n..n + m {
-        init[i] = true;
-        count[i] = true;
-    }
-    let nf = neighborhood_function(&adj, &init, &count, b, 256, seed);
+    // Lifted graph: social nodes 0..n, attribute nodes n..n+m. A social
+    // node u points at its out-neighbours and its attributes (so a path
+    // …→v→b terminates at b); an attribute a points at its members (so a
+    // path a→u→… starts at a).
+    let succ = |u: usize| {
+        let (social, attrs): (&[SocialId], &[AttrId]) = if u < n {
+            let id = SocialId(u as u32);
+            (san.out_neighbors(id), san.attrs_of(id))
+        } else {
+            (san.members_of(AttrId((u - n) as u32)), &[])
+        };
+        social
+            .iter()
+            .map(|v| v.index())
+            .chain(attrs.iter().map(move |a| n + a.index()))
+    };
+    let count: Vec<bool> = (0..n + m).map(|u| u >= n).collect();
+    let nf = sequential_series(n + m, succ, |u| u >= n, &count, b, 256, seed);
     // Lifted distances between distinct attribute nodes = attribute distance + 1.
     let lifted = effective_diameter_from_nf(&nf, q);
     (lifted - 1.0).max(0.0)

@@ -5,7 +5,10 @@ use san_graph::prelude::*;
 use san_metrics::clustering::{
     approx_average_clustering_k, average_clustering_exact, local_clustering_social, NodeSet,
 };
-use san_metrics::hyperanf::{effective_diameter_from_nf, neighborhood_function};
+use san_metrics::hyperanf::{
+    attribute_effective_diameter, effective_diameter_from_nf, neighborhood_function,
+    social_effective_diameter,
+};
 use san_metrics::jdd::{attribute_assortativity, social_assortativity};
 use san_metrics::reciprocity::{fine_grained_reciprocity, global_reciprocity};
 use san_stats::SplitRng;
@@ -37,6 +40,171 @@ fn arb_san(max_social: u32, max_attr: u32) -> impl Strategy<Value = San> {
             }
             san
         })
+}
+
+/// The synchronous HyperANF every round of the library must reproduce:
+/// one heap counter per node, a full copy of every counter per round,
+/// every successor unioned, every estimate recomputed with `powi`. Kept
+/// deliberately naive (and independent of the library's register helpers)
+/// as the oracle for the incremental rounds.
+mod reference {
+    fn hash_node(id: u64, seed: u64) -> u64 {
+        let mut z = id
+            .wrapping_add(seed)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(0x1234_5678_9ABC_DEF1);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn estimate(registers: &[u8]) -> f64 {
+        let m = registers.len() as f64;
+        let alpha = match registers.len() {
+            16 => 0.673,
+            32 => 0.697,
+            64 => 0.709,
+            _ => 0.7213 / (1.0 + 1.079 / m),
+        };
+        let sum: f64 = registers.iter().map(|&r| 2f64.powi(-i32::from(r))).sum();
+        let raw = alpha * m * m / sum;
+        if raw <= 2.5 * m {
+            let zeros = registers.iter().filter(|&&r| r == 0).count();
+            if zeros > 0 {
+                return m * (m / zeros as f64).ln();
+            }
+        }
+        raw
+    }
+
+    pub fn neighborhood_function(
+        adj: &[Vec<u32>],
+        init: &[bool],
+        count: &[bool],
+        b: u8,
+        max_iters: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let n = adj.len();
+        if n == 0 {
+            return vec![0.0];
+        }
+        let mut counters: Vec<Vec<u8>> = (0..n)
+            .map(|u| {
+                let mut c = vec![0u8; 1 << b];
+                if init[u] {
+                    let hash = hash_node(u as u64, seed);
+                    let idx = (hash >> (64 - b)) as usize;
+                    let rank = ((hash << b).leading_zeros() as u8).min(64 - b) + 1;
+                    c[idx] = c[idx].max(rank);
+                }
+                c
+            })
+            .collect();
+        let total = |cs: &[Vec<u8>]| -> f64 {
+            cs.iter()
+                .zip(count)
+                .filter(|(_, &keep)| keep)
+                .map(|(c, _)| estimate(c))
+                .sum()
+        };
+        let mut series = vec![total(&counters)];
+        for _ in 0..max_iters {
+            let mut next = counters.clone();
+            let mut any_changed = false;
+            for (u, outs) in adj.iter().enumerate() {
+                for &v in outs {
+                    for (r, &o) in next[u].iter_mut().zip(&counters[v as usize]) {
+                        if o > *r {
+                            *r = o;
+                            any_changed = true;
+                        }
+                    }
+                }
+            }
+            counters = next;
+            if !any_changed {
+                break;
+            }
+            series.push(total(&counters));
+        }
+        series
+    }
+}
+
+/// A random successor structure (self-loops and duplicate arcs allowed)
+/// with random `init`/`count` masks — the lifted-graph shape, where only
+/// some counters start non-empty and only some are summed.
+fn arb_anf_input() -> impl Strategy<Value = (Vec<Vec<u32>>, Vec<bool>, Vec<bool>)> {
+    (
+        0u32..48,
+        prop::collection::vec((any::<u32>(), any::<u32>()), 0..220),
+        prop::collection::vec(any::<bool>(), 48),
+        prop::collection::vec(any::<bool>(), 48),
+    )
+        .prop_map(|(n, arcs, init, count)| {
+            let n = n as usize;
+            let mut adj = vec![Vec::new(); n];
+            if n > 0 {
+                for (u, v) in arcs {
+                    adj[u as usize % n].push(v % n as u32);
+                }
+            }
+            (adj, init[..n].to_vec(), count[..n].to_vec())
+        })
+}
+
+fn bits(series: &[f64]) -> Vec<u64> {
+    series.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The incremental rounds (dirty nodes, stale-row copies, cached
+    /// estimates) reproduce the synchronous algorithm bit for bit.
+    #[test]
+    fn hyperanf_matches_synchronous_oracle(
+        (adj, init, count) in arb_anf_input(),
+        b in 4u8..9,
+        max_iters in prop_oneof![Just(1usize), Just(3usize), Just(64usize), Just(256usize)],
+        seed in any::<u64>(),
+    ) {
+        let got = neighborhood_function(&adj, &init, &count, b, max_iters, seed);
+        let want = reference::neighborhood_function(&adj, &init, &count, b, max_iters, seed);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The diameters read successors straight from the SAN; they must
+    /// match the oracle run over the explicitly built social and lifted
+    /// adjacency.
+    #[test]
+    fn diameters_match_synchronous_oracle(san in arb_san(30, 6), b in 4u8..9, seed in 0u64..50) {
+        let n = san.num_social_nodes();
+        let m = san.num_attr_nodes();
+        let mut adj: Vec<Vec<u32>> = san
+            .social_nodes()
+            .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
+            .collect();
+        let all = vec![true; n];
+        let social = reference::neighborhood_function(&adj, &all, &all, b, 256, seed);
+        prop_assert_eq!(
+            social_effective_diameter(&san, 0.9, b, seed).to_bits(),
+            effective_diameter_from_nf(&social, 0.9).to_bits()
+        );
+        for u in san.social_nodes() {
+            adj[u.index()].extend(san.attrs_of(u).iter().map(|a| n as u32 + a.0));
+        }
+        adj.extend(san.attr_nodes().map(|a| san.members_of(a).iter().map(|u| u.0).collect()));
+        let attr_mask: Vec<bool> = (0..n + m).map(|u| u >= n).collect();
+        let lifted = reference::neighborhood_function(&adj, &attr_mask, &attr_mask, b, 256, seed);
+        let want = if m == 0 {
+            0.0
+        } else {
+            (effective_diameter_from_nf(&lifted, 0.9) - 1.0).max(0.0)
+        };
+        prop_assert_eq!(attribute_effective_diameter(&san, 0.9, b, seed).to_bits(), want.to_bits());
+    }
 }
 
 proptest! {
