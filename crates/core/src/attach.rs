@@ -45,7 +45,7 @@ use san_graph::{San, SanEvent, SanRead, SanTimeline, SocialId};
 use san_stats::SplitRng;
 
 /// An attachment kernel `f(u, v)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttachModel {
     /// Uniform target choice.
     Uniform,

@@ -33,7 +33,7 @@ use san_stats::SplitRng;
 use std::collections::HashSet;
 
 /// A triangle-closing scheme.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClosingModel {
     /// Uniform over the distinct 2-hop social neighbourhood.
     Baseline,

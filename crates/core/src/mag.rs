@@ -24,7 +24,7 @@ use san_graph::{AttrType, San, SocialId};
 use san_stats::SplitRng;
 
 /// A 2×2 affinity matrix for one latent attribute.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Affinity {
     /// P-contribution when both endpoints have the attribute.
     pub both: f64,
@@ -79,7 +79,7 @@ impl Affinity {
 }
 
 /// MAG model parameters.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MagParams {
     /// Number of social nodes.
     pub nodes: usize,

@@ -42,7 +42,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Node lifetime distribution (§5.3 "lifetime sampling").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifetimeDist {
     /// The paper's choice: normal truncated to `l ≥ 0` — Theorem 1 shows
     /// this yields lognormal social out-degrees.
@@ -61,7 +61,7 @@ pub enum LifetimeDist {
 }
 
 /// Sleep-time regime between consecutive outgoing links.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SleepMode {
     /// The paper's choice: exponential sleep with mean `m_s / d_out` — the
     /// busier a node, the more often it wakes.
@@ -77,7 +77,7 @@ pub enum SleepMode {
 }
 
 /// First-outgoing-link kernel for newborn nodes.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FirstLink {
     /// LAPA with `α = 1` (exact fast sampler) — the paper's model.
     Lapa {
@@ -91,7 +91,7 @@ pub enum FirstLink {
 }
 
 /// How newborn nodes acquire attributes.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrAssign {
     /// The paper's model: attribute degree ~ discrete lognormal; each
     /// attribute is a brand-new node w.p. `p_new`, otherwise an existing
@@ -119,7 +119,7 @@ pub enum AttrAssign {
 }
 
 /// Full parameter set of the generative process.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SanModelParams {
     /// Number of simulated days `T`.
     pub days: u32,

@@ -13,10 +13,9 @@ use san_graph::degree::degree_vectors;
 use san_graph::SanRead;
 use san_metrics::reciprocity::global_reciprocity;
 use san_stats::Lognormal;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics a calibration run tries to match.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationTarget {
     /// Lognormal `µ` of positive out-degrees.
     pub mu_out: f64,

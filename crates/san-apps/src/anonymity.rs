@@ -14,10 +14,9 @@
 use san_graph::degree::{bound_degrees, to_undirected};
 use san_graph::SanRead;
 use san_stats::SplitRng;
-use serde::{Deserialize, Serialize};
 
 /// Anonymity experiment settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnonymityConfig {
     /// Node degree bound (paper: 100).
     pub degree_bound: usize,

@@ -17,11 +17,10 @@
 
 use san_graph::SanRead;
 use san_metrics::reciprocity::{fine_grained_reciprocity, ReciprocityCell};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A trained histogram predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReciprocityPredictor {
     /// Whether the attribute feature is used.
     pub attribute_aware: bool,

@@ -17,11 +17,10 @@
 
 use san_graph::{AttrType, SanRead, SocialId};
 use san_stats::SplitRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Scoring weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecommenderWeights {
     /// Weight of each common attribute.
     pub attr: f64,

@@ -26,10 +26,9 @@
 use san_graph::degree::{bound_degrees, to_undirected};
 use san_graph::{SanRead, SocialId};
 use san_stats::SplitRng;
-use serde::{Deserialize, Serialize};
 
 /// SybilLimit protocol settings (paper defaults: bound 100, `w = 10`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SybilLimitConfig {
     /// Node degree bound applied before counting attack edges.
     pub degree_bound: usize,
@@ -47,7 +46,7 @@ impl Default for SybilLimitConfig {
 }
 
 /// Outcome of one SybilLimit evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SybilResult {
     /// Number of compromised nodes.
     pub compromised: usize,

@@ -2,26 +2,30 @@
 //! text-exposition encode of the three layers' meters takes on a warm
 //! server, and (2) what per-request tracing costs on the wire — the
 //! counts-query RTT measured against two otherwise identical loopback
-//! servers, tracing on vs off, sampled in interleaved batches so clock
-//! drift hits both sides equally. The medians land in `BENCH_OBS.json`;
+//! servers, tracing on vs off. The medians land in `BENCH_OBS.json`;
 //! the acceptance gate holds the traced overhead under 5% of the
 //! untraced RTT.
 //!
-//! The overhead estimator is the **minimum of per-batch medians**: a
-//! batch median absorbs per-request jitter, and the min across batches
-//! discards batches a scheduler spike landed on — what survives is the
-//! noise-floor RTT, which still contains the (constant, additive)
-//! tracing cost being measured.
+//! The overhead estimator is **paired**: each pair is one traced and
+//! one untraced batch taken back to back, alternating which server goes
+//! first, and contributes the relative difference of its two batch
+//! medians. The gate reads the median of those per-pair differences. A
+//! batch median absorbs per-request jitter; pairing cancels drift that
+//! hits both sides of a pair alike; and the median across pairs ignores
+//! the few pairs a scheduler spike landed on one side of, so no single
+//! lucky or unlucky batch decides the gate. The recorded
+//! `traced_p50_ns`/`untraced_p50_ns` are each side's median batch
+//! median, and `pairs` is the pair count.
 
 use criterion::{black_box, criterion_group, Criterion};
 
-/// Median of a sample set (destructive; empty → 0).
+/// Median of a sample set (destructive; empty → default).
 #[cfg(unix)]
-fn median(samples: &mut [u64]) -> u64 {
+fn median<T: Copy + Default + PartialOrd>(samples: &mut [T]) -> T {
     if samples.is_empty() {
-        return 0;
+        return T::default();
     }
-    samples.sort_unstable();
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     samples[samples.len() / 2]
 }
 
@@ -35,7 +39,7 @@ fn bench_obs(c: &mut Criterion) {
     use std::time::Instant;
 
     let quick = std::env::var_os("CRITERION_QUICK").is_some_and(|v| v == "1");
-    let (batches, per_batch): (usize, u64) = if quick { (8, 50) } else { (20, 200) };
+    let (pairs, per_batch): (usize, u64) = if quick { (8, 50) } else { (20, 200) };
 
     // The same 10k-node/98-day fixture the net bench serves.
     let (tl, _) = SanModel::new(SanModelParams::paper_default(98, 102))
@@ -83,9 +87,8 @@ fn bench_obs(c: &mut Criterion) {
     group.finish();
     criterion::record_value("obs/encode", "scrape_bytes", scrape_len as f64);
 
-    // (2) Traced-vs-untraced RTT, interleaved batches on one counts
-    // query per request; each batch contributes its median, and the
-    // min across batches is the reported RTT.
+    // (2) Traced-vs-untraced RTT, one counts query per request, in
+    // batch pairs (see the module doc for the estimator).
     let rtt_batch_median = |client: &mut NetClient| -> u64 {
         let mut samples: Vec<u64> = (0..per_batch)
             .map(|_| {
@@ -96,22 +99,31 @@ fn bench_obs(c: &mut Criterion) {
             .collect();
         median(&mut samples)
     };
-    let (mut on, mut off) = (u64::MAX, u64::MAX);
-    for _ in 0..batches {
-        on = on.min(rtt_batch_median(&mut warm_traced));
-        off = off.min(rtt_batch_median(&mut warm_untraced));
+    let (mut on, mut off, mut diff_pct) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (t, u) = if pair % 2 == 0 {
+            let t = rtt_batch_median(&mut warm_traced);
+            (t, rtt_batch_median(&mut warm_untraced))
+        } else {
+            let u = rtt_batch_median(&mut warm_untraced);
+            (rtt_batch_median(&mut warm_traced), u)
+        };
+        on.push(t);
+        off.push(u);
+        diff_pct.push((t as f64 - u as f64) / u as f64 * 100.0);
     }
-    let (p50_on, p50_off) = (on, off);
+    let (p50_on, p50_off) = (median(&mut on), median(&mut off));
     // Signed percentage: negative means tracing measured *faster* than
     // untraced this run (pure scheduling noise — the real cost is a few
     // clock reads and one seqlock publish per request).
-    let overhead_pct = (p50_on as f64 - p50_off as f64) / p50_off as f64 * 100.0;
+    let overhead_pct = median(&mut diff_pct);
     println!(
-        "obs/trace_overhead: counts RTT p50 traced {p50_on} ns vs untraced {p50_off} ns ({overhead_pct:+.2}%)"
+        "obs/trace_overhead: counts RTT p50 traced {p50_on} ns vs untraced {p50_off} ns; median paired overhead {overhead_pct:+.2}% over {pairs} pairs"
     );
     criterion::record_value("obs/trace_overhead", "traced_p50_ns", p50_on as f64);
     criterion::record_value("obs/trace_overhead", "untraced_p50_ns", p50_off as f64);
     criterion::record_value("obs/trace_overhead", "overhead_pct", overhead_pct);
+    criterion::record_value("obs/trace_overhead", "pairs", pairs as f64);
     // The recorded (full-sample) run gates at 5%; the CRITERION_QUICK
     // smoke keeps a looser sanity bound — 8×50 samples on a shared CI
     // runner can't resolve a ~2% signal against scheduler noise.

@@ -13,13 +13,12 @@
 use crate::ids::{AttrId, AttrType, SocialId};
 use crate::read::SanRead;
 use crate::san::San;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// One growth event. Node ids are implicit: the `k`-th `SocialNode` event
 /// creates `SocialId(k)`, and likewise for attribute nodes — replay is
 /// therefore unambiguous and the log is compact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SanEvent {
     /// A user joins.
     SocialNode {
@@ -66,7 +65,7 @@ impl SanEvent {
 }
 
 /// Per-day aggregate counts (the series of Figures 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DayCounts {
     /// Day index.
     pub day: u32,
@@ -106,7 +105,7 @@ impl DayCounts {
 }
 
 /// An immutable, day-ordered SAN growth log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SanTimeline {
     events: Vec<SanEvent>,
 }
@@ -936,13 +935,5 @@ mod tests {
         while stream.next().is_some() {}
         assert_eq!(stream.days_applied(), 4); // every day advanced once
         assert_eq!(stream.snapshots_taken(), 3); // only days 0, 2, 3 cloned
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let tl = sample_timeline();
-        let json = serde_json::to_string(&tl).unwrap();
-        let back: SanTimeline = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.events(), tl.events());
     }
 }

@@ -6,7 +6,6 @@
 //! insertion order is also *arrival order*, which the preferential-
 //! attachment analysis (Theorem 2) relies on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a social node (a user).
@@ -15,9 +14,7 @@ use std::fmt;
 /// and bit pattern of its `u32` payload — the zero-copy snapshot views
 /// ([`CsrSanView`](crate::view::CsrSanView)) rely on this to reinterpret
 /// on-disk little-endian `u32` columns as `&[SocialId]` in place.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[repr(transparent)]
 pub struct SocialId(pub u32);
 
@@ -26,9 +23,7 @@ pub struct SocialId(pub u32);
 ///
 /// `repr(transparent)` for the same reason as [`SocialId`]: the zero-copy
 /// views reinterpret raw `u32` columns as typed id slices.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[repr(transparent)]
 pub struct AttrId(pub u32);
 
@@ -62,7 +57,7 @@ impl fmt::Display for AttrId {
 
 /// The attribute categories the paper extracts from Google+ profiles (§2.2),
 /// plus a catch-all for extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttrType {
     /// Name of a school attended.
     School,
@@ -85,7 +80,7 @@ impl AttrType {
         AttrType::City,
     ];
 
-    /// Stable lowercase name (used by the text serialisation format).
+    /// Stable lowercase name (the `Display` form).
     pub fn as_str(self) -> &'static str {
         match self {
             AttrType::School => "school",
@@ -93,18 +88,6 @@ impl AttrType {
             AttrType::Employer => "employer",
             AttrType::City => "city",
             AttrType::Other => "other",
-        }
-    }
-
-    /// Parses the stable name produced by [`AttrType::as_str`].
-    pub fn from_str_name(s: &str) -> Option<AttrType> {
-        match s {
-            "school" => Some(AttrType::School),
-            "major" => Some(AttrType::Major),
-            "employer" => Some(AttrType::Employer),
-            "city" => Some(AttrType::City),
-            "other" => Some(AttrType::Other),
-            _ => None,
         }
     }
 }
@@ -135,34 +118,21 @@ mod tests {
     }
 
     #[test]
-    fn attr_type_roundtrip() {
-        for ty in [
-            AttrType::School,
-            AttrType::Major,
-            AttrType::Employer,
-            AttrType::City,
-            AttrType::Other,
+    fn attr_type_names() {
+        for (ty, name) in [
+            (AttrType::School, "school"),
+            (AttrType::Major, "major"),
+            (AttrType::Employer, "employer"),
+            (AttrType::City, "city"),
+            (AttrType::Other, "other"),
         ] {
-            assert_eq!(AttrType::from_str_name(ty.as_str()), Some(ty));
+            assert_eq!(ty.as_str(), name);
         }
-        assert_eq!(AttrType::from_str_name("nonsense"), None);
     }
 
     #[test]
     fn paper_types_excludes_other() {
         assert_eq!(AttrType::PAPER_TYPES.len(), 4);
         assert!(!AttrType::PAPER_TYPES.contains(&AttrType::Other));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let id = SocialId(42);
-        let json = serde_json::to_string(&id).unwrap();
-        let back: SocialId = serde_json::from_str(&json).unwrap();
-        assert_eq!(id, back);
-        let ty = AttrType::City;
-        let json = serde_json::to_string(&ty).unwrap();
-        let back: AttrType = serde_json::from_str(&json).unwrap();
-        assert_eq!(ty, back);
     }
 }

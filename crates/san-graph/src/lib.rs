@@ -80,7 +80,6 @@
 //! * [`degree`] — degree-vector extraction and the degree-bounded subgraph
 //!   used by SybilLimit (§6.2),
 //! * [`subsample`] — attribute subsampling for the §4.3 validation,
-//! * [`io`] — plain-text and JSON serialisation,
 //! * [`fixtures`] — the paper's Figure 1 six-user example network, reused as
 //!   a ground-truth fixture across the workspace test suites.
 
@@ -93,7 +92,6 @@ pub mod delta;
 pub mod evolve;
 pub mod fixtures;
 pub mod ids;
-pub mod io;
 pub mod meter;
 pub mod mmap;
 pub mod read;

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use san_graph::degree::{bound_degrees, degree_vectors, to_undirected};
-use san_graph::io::{from_text, to_text, SanDto};
 use san_graph::prelude::*;
 use san_graph::subsample::subsample_attributes;
 use san_graph::traverse::{bfs_directed, induced_subgraph, weakly_connected_components};
@@ -91,36 +90,6 @@ proptest! {
                 prop_assert!(dv <= du + 1);
             }
         }
-    }
-
-    /// Text serialisation round-trips exactly (as link sets).
-    #[test]
-    fn text_roundtrip(san in arb_san(25, 6)) {
-        use std::collections::BTreeSet;
-        let text = to_text(&san);
-        let back = from_text(&text).unwrap();
-        prop_assert_eq!(back.num_social_nodes(), san.num_social_nodes());
-        prop_assert_eq!(back.num_attr_nodes(), san.num_attr_nodes());
-        prop_assert_eq!(
-            back.social_links().collect::<BTreeSet<_>>(),
-            san.social_links().collect::<BTreeSet<_>>()
-        );
-        prop_assert_eq!(
-            back.attr_links().collect::<BTreeSet<_>>(),
-            san.attr_links().collect::<BTreeSet<_>>()
-        );
-    }
-
-    /// DTO JSON round-trips exactly.
-    #[test]
-    fn dto_roundtrip(san in arb_san(20, 5)) {
-        let dto = SanDto::from(&san);
-        let json = serde_json::to_string(&dto).unwrap();
-        let dto2: SanDto = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&dto, &dto2);
-        let back = San::try_from(&dto2).unwrap();
-        prop_assert!(back.check_consistency().is_ok());
-        prop_assert_eq!(back.num_social_links(), san.num_social_links());
     }
 
     /// Subsampling preserves the social structure and never increases

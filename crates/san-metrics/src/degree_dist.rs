@@ -15,10 +15,9 @@ use san_graph::degree::{degree_vectors, DegreeVectors};
 use san_graph::{SanRead, ShardedCsrSan};
 use san_stats::fit::{fit_degree_distribution, DegreeFit};
 use san_stats::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// The fitted models of the four SAN degree distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SanDegreeFits {
     /// Social out-degree of social nodes.
     pub out_degree: DegreeFit,
@@ -172,13 +171,5 @@ mod tests {
         let mut san = San::new();
         san.add_social_node();
         assert!(fit_san_degrees(&san).is_err());
-    }
-
-    #[test]
-    fn fit_serializes() {
-        let san = synthetic_google_like(500, 9);
-        let fits = fit_san_degrees(&san).unwrap();
-        let json = serde_json::to_string(&fits).unwrap();
-        assert!(json.contains("out_degree"));
     }
 }

@@ -27,7 +27,6 @@ use san_graph::evolve::SnapshotStream;
 use san_graph::store::{SnapshotVault, StoreError};
 use san_graph::view::CsrSanView;
 use san_graph::{CsrSan, SanTimeline};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -46,7 +45,7 @@ fn into_inner_ok<T>(m: Mutex<T>) -> T {
 }
 
 /// The three evolution phases of Google+.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Early days: dramatic size increase.
     I,
@@ -57,7 +56,7 @@ pub enum Phase {
 }
 
 /// Day boundaries separating the phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseBounds {
     /// Last day (inclusive) of Phase I.
     pub phase1_end: u32,
@@ -85,7 +84,7 @@ impl PhaseBounds {
 }
 
 /// A day-indexed metric series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricSeries {
     /// Metric name (used by the experiment harness output).
     pub name: String,

@@ -13,10 +13,9 @@
 //!   (used to pick the Fig. 14 columns).
 
 use san_graph::{AttrId, AttrType, SanRead, SocialId};
-use serde::{Deserialize, Serialize};
 
 /// Degree quartiles of the members of one attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttrDegreeStats {
     /// The attribute node.
     pub attr: AttrId,
@@ -56,7 +55,7 @@ pub fn degree_percentiles_by_attr(san: &impl SanRead, attrs: &[AttrId]) -> Vec<A
 /// way the paper reports them: `triadic` counts every link whose endpoints
 /// share a friend (including those that also share an attribute), `focal`
 /// counts every link whose endpoints share an attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClosureMix {
     /// Total classified links.
     pub total: usize,

@@ -12,7 +12,6 @@
 //! result is that any shared attribute roughly doubles reciprocation.
 
 use san_graph::{SanRead, ShardedCsrSan};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The `(links, mutual)` tally over whatever link range the view
@@ -63,7 +62,7 @@ pub fn global_reciprocity_sharded(g: &ShardedCsrSan) -> f64 {
 }
 
 /// One `(s, a)` cell of the fine-grained reciprocity analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReciprocityCell {
     /// Number of common social neighbours of the link endpoints (at the
     /// earlier snapshot).

@@ -11,10 +11,9 @@ use crate::clustering::{clustering_by_degree, NodeSet};
 use san_graph::subsample::subsample_attributes;
 use san_graph::SanRead;
 use san_stats::SplitRng;
-use serde::{Deserialize, Serialize};
 
 /// Result of one subsampling comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubsampleComparison {
     /// Per-degree series on the original SAN.
     pub original: Vec<(u64, f64)>,

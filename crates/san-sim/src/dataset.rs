@@ -25,7 +25,7 @@ use san_stats::SplitRng;
 use std::sync::OnceLock;
 
 /// Simulator parameters.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GooglePlusParams {
     /// Simulated days (the paper observes 98 days across three phases).
     pub days: u32,

@@ -15,7 +15,7 @@ use crate::error::StatsError;
 use crate::special::normal_cdf;
 
 /// The distribution family a sample is best explained by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitFamily {
     /// Discrete power law `p(k) ∝ k^{−α}`.
     PowerLaw,
@@ -33,7 +33,7 @@ impl std::fmt::Display for FitFamily {
 }
 
 /// Result of fitting both candidate families to a degree sample.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegreeFit {
     /// Which family wins on log-likelihood.
     pub family: FitFamily,
@@ -156,7 +156,7 @@ pub fn vuong_test(samples: &[u64]) -> Result<VuongResult, StatsError> {
 }
 
 /// Outcome of [`vuong_test`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VuongResult {
     /// Normalised LLR statistic; positive favours the lognormal.
     pub z: f64,

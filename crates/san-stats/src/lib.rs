@@ -25,8 +25,7 @@
 //!   experiment in the workspace is reproducible from a single `u64` seed.
 //!
 //! The crate is intentionally dependency-light: only `rand` (for the
-//! `RngCore` traits) and `serde` (to persist fitted parameters in experiment
-//! reports).
+//! `RngCore` traits).
 //!
 //! ## Quick example
 //!

@@ -3,7 +3,6 @@
 
 use gplus_san::apps::recommend::{evaluate_precision, RecommenderWeights};
 use gplus_san::apps::sybil::{sybil_curve, SybilLimitConfig};
-use gplus_san::graph::io::{from_text, to_text};
 use gplus_san::metrics::clustering::{
     approx_average_clustering, average_clustering_exact, NodeSet,
 };
@@ -231,19 +230,6 @@ fn frozen_snapshots_measure_identically_and_in_parallel() {
     }
     // Reciprocity declines across the sampled days (Fig. 4a shape).
     assert!(reciprocities[2].1 < reciprocities[0].1);
-}
-
-/// Serialisation round-trip of a full crawled snapshot.
-#[test]
-fn crawl_serialisation_roundtrip() {
-    let data = GooglePlus::at_scale(6).generate(14);
-    let san = data.crawl_final().san;
-    let text = to_text(&san);
-    let back = from_text(&text).unwrap();
-    assert_eq!(back.num_social_nodes(), san.num_social_nodes());
-    assert_eq!(back.num_social_links(), san.num_social_links());
-    assert_eq!(back.num_attr_links(), san.num_attr_links());
-    back.check_consistency().unwrap();
 }
 
 /// Ablation: removing focal closure collapses attribute clustering
