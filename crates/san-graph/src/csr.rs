@@ -28,7 +28,7 @@ use std::borrow::Cow;
 /// An immutable, cache-friendly SAN snapshot in CSR form.
 ///
 /// Fields are `pub(crate)` so [`crate::delta::DeltaFreezer`] can patch a
-/// snapshot with one day's events without a full re-freeze.
+/// snapshot with new events without a full re-freeze.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrSan {
     pub(crate) out_off: Vec<u32>,

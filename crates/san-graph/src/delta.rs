@@ -1,30 +1,39 @@
-//! Incremental delta-freeze: patch yesterday's [`CsrSan`] with one day's
-//! events instead of replaying the whole timeline.
+//! Incremental delta-freeze: patch an earlier [`CsrSan`] with the events
+//! since then instead of replaying the whole timeline.
 //!
 //! [`SanTimeline::snapshot_csr`](crate::evolve::SanTimeline::snapshot_csr)
 //! replays the event log from day 0 and re-freezes from scratch, so a full
 //! sweep over all days costs O(days × E) replay work plus one O(E log d)
 //! sort-freeze per day — quadratic in practice. [`DeltaFreezer`] keeps the
-//! current day's frozen snapshot and *patches* it: a day with `k` new
-//! events costs one merge pass over the flat CSR arrays (a bulk copy of
-//! untouched rows plus a sorted merge of the `k` additions), and a day
-//! with no events costs nothing at all. Rows are never re-sorted — the old
-//! row is already sorted and the additions are merged in order — so the
-//! product is field-for-field identical to a from-scratch freeze (the
+//! last frozen snapshot and *patches* it: one patch with `k` new events
+//! costs one merge pass over the flat CSR arrays (a bulk copy of untouched
+//! rows plus a sorted merge of the `k` additions), and a patch with no
+//! events costs nothing at all. Rows are never re-sorted — the old row is
+//! already sorted and the additions are merged in order — so the product
+//! is field-for-field identical to a from-scratch freeze (the
 //! `delta_equivalence` property suite pins this down).
+//!
+//! The bulk copy is paid per patch, not per event, so the drivers patch
+//! only on the days someone reads: the timeline sweeps
+//! ([`SanTimeline::snapshot_stream`](crate::evolve::SanTimeline::snapshot_stream),
+//! [`SanTimeline::for_each_snapshot`](crate::evolve::SanTimeline::for_each_snapshot))
+//! hand [`DeltaFreezer::apply_days`] every event since the previous
+//! sampled day in one slice, and
+//! [`StreamingVaultWriter`](crate::store::StreamingVaultWriter) buffers
+//! the days between two persisted days the same way. A multi-day slice
+//! patches to exactly the state the per-day patches would have reached:
+//! the freezer deduplicates against the links it has pending, counts new
+//! nodes as it goes and rejects unknown endpoints event by event, all in
+//! log order.
 //!
 //! Two internal buffers are double-buffered (`cur`/`scratch`) so steady
 //! state allocates nothing once row capacity has been reached; the current
-//! day additionally sits behind an [`Arc`], so
+//! snapshot additionally sits behind an [`Arc`], so
 //! [`DeltaFreezer::snapshot`] hands consumers a shared view without any
 //! flat-array clone, and the double-buffer is reclaimed whenever the
-//! handed-out day has been dropped by the time the next day is applied.
+//! handed-out snapshot has been dropped by the time the next patch runs.
 //!
-//! Prefer the timeline conveniences
-//! [`SanTimeline::snapshot_stream`](crate::evolve::SanTimeline::snapshot_stream)
-//! and
-//! [`SanTimeline::for_each_snapshot`](crate::evolve::SanTimeline::for_each_snapshot)
-//! over driving a `DeltaFreezer` by hand.
+//! Prefer the timeline conveniences over driving a `DeltaFreezer` by hand.
 
 use crate::csr::CsrSan;
 use crate::evolve::SanEvent;
@@ -32,10 +41,11 @@ use crate::ids::{AttrId, AttrType, SocialId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Builds the frozen snapshot of every day by patching the previous day's
-/// [`CsrSan`] with that day's events.
+/// Builds frozen end-of-day snapshots by patching an earlier [`CsrSan`]
+/// with the events since then.
 ///
-/// Feed it one day at a time through [`DeltaFreezer::apply_day`]; read the
+/// Feed it one day through [`DeltaFreezer::apply_day`] or several
+/// consecutive days at once through [`DeltaFreezer::apply_days`]; read the
 /// current frozen state with [`DeltaFreezer::current`] or take a shared
 /// handle with [`DeltaFreezer::snapshot`].
 ///
@@ -222,7 +232,8 @@ impl DeltaFreezer {
         Arc::clone(&self.cur)
     }
 
-    /// Days fed through [`apply_day`](DeltaFreezer::apply_day) so far.
+    /// Days advanced so far: one per [`apply_day`](DeltaFreezer::apply_day),
+    /// `days` per [`apply_days`](DeltaFreezer::apply_days).
     pub fn days_applied(&self) -> u64 {
         self.days_applied
     }
@@ -241,7 +252,19 @@ impl DeltaFreezer {
     /// Panics when an event references a node that does not exist yet, the
     /// same contract as replaying through [`San`](crate::San).
     pub fn apply_day(&mut self, events: &[SanEvent]) {
-        self.days_applied += 1;
+        self.apply_days(events, 1);
+    }
+
+    /// Advances `days` consecutive days in one patch: `events` holds all of
+    /// their events, in log order. The result is field-for-field the state
+    /// that `days` calls of [`apply_day`](DeltaFreezer::apply_day) over the
+    /// per-day slices would reach, for one merge pass instead of `days`.
+    ///
+    /// # Panics
+    /// Panics when an event references a node that does not exist yet at
+    /// its position in the log, like [`apply_day`](DeltaFreezer::apply_day).
+    pub fn apply_days(&mut self, events: &[SanEvent], days: u64) {
+        self.days_applied += days;
         if events.is_empty() {
             return;
         }
@@ -426,6 +449,31 @@ mod tests {
             assert_eq!(fz.current(), &tl.snapshot_csr(day), "day {day}");
         }
         assert_eq!(fz.days_applied(), 5);
+    }
+
+    #[test]
+    fn multi_day_patch_matches_per_day_patches() {
+        let mut tb = TimelineBuilder::new();
+        let u0 = tb.add_social_node();
+        let u1 = tb.add_social_node();
+        tb.add_social_link(u0, u1);
+        tb.advance_to_day(2);
+        let u2 = tb.add_social_node();
+        let a0 = tb.add_attr_node(AttrType::Major);
+        tb.add_social_link(u2, u1);
+        tb.add_attr_link(u2, a0);
+        tb.advance_to_day(3);
+        tb.add_social_link(u1, u0);
+        tb.add_attr_link(u0, a0);
+        let (tl, _) = tb.finish();
+        let events = tl.events();
+        let split = events.iter().take_while(|e| e.day() == 0).count();
+        let mut fz = DeltaFreezer::new();
+        fz.apply_days(&events[..split], 1);
+        // Days 1..=3 (day 1 is empty) in one patch.
+        fz.apply_days(&events[split..], 3);
+        assert_eq!(fz.current(), &tl.snapshot_csr(3));
+        assert_eq!(fz.days_applied(), 4);
     }
 
     #[test]

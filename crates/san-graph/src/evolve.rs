@@ -79,14 +79,13 @@ pub struct DayCounts {
     pub attr_links: usize,
 }
 
-/// Advances `idx` past every event of `day` (the log is day-ordered) and
-/// returns that day's slice — the one grouping scan both sweep drivers
-/// share.
-fn take_day_slice<'a>(events: &'a [SanEvent], day: u32, idx: &mut usize) -> &'a [SanEvent] {
+/// Advances `idx` past every event up to and including `day` (the log is
+/// day-ordered) and returns those events — the slice one multi-day
+/// [`DeltaFreezer::apply_days`](crate::delta::DeltaFreezer::apply_days)
+/// patch consumes.
+fn take_through_day<'a>(events: &'a [SanEvent], day: u32, idx: &mut usize) -> &'a [SanEvent] {
     let start = *idx;
-    while *idx < events.len() && events[*idx].day() == day {
-        *idx += 1;
-    }
+    *idx += events[start..].partition_point(|e| e.day() <= day);
     &events[start..*idx]
 }
 
@@ -163,12 +162,13 @@ impl SanTimeline {
 
     /// Streams `(day, Arc<CsrSan>)` for every `step`-th day (day 0, `step`,
     /// `2·step`, …, always including the final day) in one incremental
-    /// delta-freeze pass: each day's snapshot is produced by patching the
-    /// previous day's CSR arrays with that day's events
-    /// ([`DeltaFreezer`](crate::delta::DeltaFreezer)), so a full-timeline
-    /// sweep is near-linear in events instead of the quadratic
-    /// replay-per-day of calling
-    /// [`snapshot_csr`](SanTimeline::snapshot_csr) in a loop.
+    /// delta-freeze pass ([`DeltaFreezer`](crate::delta::DeltaFreezer)):
+    /// each sampled day's snapshot is produced by patching the previous
+    /// sampled day's CSR arrays with every event in between, in one merge
+    /// pass, so a sweep costs one patch per *sampled* day — near-linear in
+    /// events instead of the quadratic replay-per-day of calling
+    /// [`snapshot_csr`](SanTimeline::snapshot_csr) in a loop, and days
+    /// off the grid are never frozen at all.
     ///
     /// Snapshots are yielded **in day order** as `Arc`-shared,
     /// `Send + Sync` handles — the hand-off itself is allocation-free (no
@@ -333,23 +333,16 @@ impl SanTimeline {
 
     /// Borrowing form of [`snapshot_stream`](SanTimeline::snapshot_stream):
     /// invokes `visit(day, &CsrSan)` with the delta-frozen end-of-day
-    /// snapshot of every sampled day, without cloning the snapshot at all.
-    /// This is the cheapest way to run a sequential full-resolution sweep.
+    /// snapshot of every sampled day. Like the stream, it patches only the
+    /// sampled days, each with every event since the previous one; each
+    /// snapshot is dropped before the next patch, so the freezer reuses
+    /// its buffers throughout the sweep.
     ///
     /// # Panics
     /// Panics if `step == 0`.
     pub fn for_each_snapshot<F: FnMut(u32, &crate::CsrSan)>(&self, step: u32, mut visit: F) {
-        assert!(step >= 1, "step must be at least 1");
-        let Some(max_day) = self.max_day() else {
-            return;
-        };
-        let mut freezer = crate::delta::DeltaFreezer::new();
-        let mut idx = 0;
-        for day in 0..=max_day {
-            freezer.apply_day(take_day_slice(&self.events, day, &mut idx));
-            if day % step == 0 || day == max_day {
-                visit(day, freezer.current());
-            }
+        for (day, snap) in self.snapshot_stream(step) {
+            visit(day, &snap);
         }
     }
 
@@ -422,10 +415,11 @@ impl SanTimeline {
 pub struct SnapshotStream<'a> {
     events: &'a [SanEvent],
     idx: usize,
+    /// The first day the freezer has not advanced through yet.
     day: u32,
     max_day: Option<u32>,
     step: u32,
-    /// Sampled days before this are patched through but not yielded (the
+    /// Sampled days before this are neither patched nor yielded (the
     /// vault-resume case: the grid stays the full sweep's, only the
     /// emission window narrows).
     emit_from: u32,
@@ -455,23 +449,26 @@ impl Iterator for SnapshotStream<'_> {
         if let Some(day) = self.pending.take() {
             return Some((day, self.freezer.snapshot()));
         }
-        loop {
-            let max_day = self.max_day?;
-            let day = self.day;
-            self.freezer
-                .apply_day(take_day_slice(self.events, day, &mut self.idx));
-            let sampled =
-                (day.is_multiple_of(self.step) || day == max_day) && day >= self.emit_from;
-            if day == max_day {
-                // Exhausted; also guards `day + 1` against u32 overflow.
-                self.max_day = None;
-            } else {
-                self.day = day + 1;
-            }
-            if sampled {
-                return Some((day, self.freezer.snapshot()));
-            }
+        let max_day = self.max_day?;
+        // The next emitted day: the first grid day at or after both the
+        // next unapplied day and the emission window (which the
+        // constructors keep at or before `max_day`), capped by the forced
+        // final day. Grid days before the window are skipped, not patched.
+        let day = self
+            .day
+            .max(self.emit_from)
+            .checked_next_multiple_of(self.step)
+            .map_or(max_day, |d| d.min(max_day));
+        let events = take_through_day(self.events, day, &mut self.idx);
+        self.freezer
+            .apply_days(events, u64::from(day - self.day) + 1);
+        if day == max_day {
+            // Exhausted; also guards `day + 1` against u32 overflow.
+            self.max_day = None;
+        } else {
+            self.day = day + 1;
         }
+        Some((day, self.freezer.snapshot()))
     }
 }
 

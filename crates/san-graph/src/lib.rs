@@ -46,11 +46,11 @@
 //! * [`evolve::SanTimeline`] — a timestamped event log that can
 //!   replay the network to any day (the paper's 79 daily snapshots),
 //! * [`delta::DeltaFreezer`] — incremental delta-freeze: patches the
-//!   previous day's `CsrSan` with one day's events, making all-day
-//!   snapshot sweeps ([`evolve::SanTimeline::snapshot_stream`],
+//!   last frozen `CsrSan` with every event since then, making snapshot
+//!   sweeps ([`evolve::SanTimeline::snapshot_stream`],
 //!   [`evolve::SanTimeline::for_each_snapshot`]) near-linear instead of
-//!   quadratic; sampled days are handed off as `Arc<CsrSan>` with no
-//!   flat-array clone,
+//!   quadratic and patching only the sampled days; those are handed off
+//!   as `Arc<CsrSan>` with no flat-array clone,
 //! * [`shard::ShardedCsrSan`] — a snapshot range-partitioned into `K`
 //!   node-contiguous, edge-balanced [`shard::CsrShard`] views with
 //!   `map_shards`/`fold_shards` drivers, so one frozen day can saturate

@@ -242,7 +242,17 @@ impl MappedSnapshot {
     /// Sync` handle the serving layer caches for plain v1 mappings;
     /// `path` records which day file the snapshot stands in for.
     pub fn from_owned(snap: &CsrSan, path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
-        let image = AlignedBytes::from_bytes(&snap.to_store_bytes());
+        // Serialise straight into the aligned buffer: no staging Vec.
+        let len = snap.store_bytes_len();
+        let mut image = AlignedBytes::zeroed(len as usize);
+        let written = snap.write_to(&mut image.as_mut_bytes())?;
+        if written != len {
+            return Err(StoreError::CountMismatch {
+                what: "serialised snapshot bytes",
+                expected: len,
+                found: written,
+            });
+        }
         let (_, header) = CsrSanView::new_with_header(&image)?;
         Ok(MappedSnapshot {
             backing: Backing::Owned(image),
@@ -343,6 +353,15 @@ mod tests {
         // Page alignment exceeds the 4-byte column requirement.
         assert_eq!(mapped.bytes().as_ptr() as usize % 4096, 0);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn from_owned_serves_the_v1_image() {
+        for csr in [sample_csr(), crate::CsrSan::default()] {
+            let owned = MappedSnapshot::from_owned(&csr, "day-0000.csr").expect("from owned");
+            assert_eq!(owned.bytes(), csr.to_store_bytes().as_slice());
+            assert_eq!(owned.view().to_owned_csr(), csr);
+        }
     }
 
     #[test]

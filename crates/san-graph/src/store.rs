@@ -2544,14 +2544,20 @@ impl SnapshotVault {
     }
 }
 
-/// Streams a synthesized timeline straight into a vault: each day's
-/// events patch the rolling snapshot (a [`DeltaFreezer`](crate::DeltaFreezer)
-/// inside), and grid days are persisted the moment they complete —
-/// compressed v2 full days every `full_every`-th persist, v2 deltas
-/// against the previous persisted day otherwise. Nothing else is
-/// retained: peak memory is one day's events plus the rolling snapshot
-/// (and the previous persisted day's `Arc`, which shares storage with it
-/// in the steady state), however many days the timeline runs.
+/// Streams a synthesized timeline straight into a vault: days off the
+/// grid are only buffered, and each grid day patches the rolling snapshot
+/// (a [`DeltaFreezer`](crate::DeltaFreezer) inside) once with every event
+/// since the previous grid day, then is persisted the moment it completes
+/// — compressed v2 full days every `full_every`-th persist, v2 deltas
+/// against the previous persisted day otherwise. The persisted bytes are
+/// exactly those of patching every day. Nothing else is retained: peak
+/// memory is one grid interval's events plus the rolling snapshot (and the
+/// previous persisted day's `Arc`, which shares storage with it in the
+/// steady state), however many days the timeline runs.
+///
+/// A link to an unknown node panics when its grid day is patched (at the
+/// latest in [`finish`](StreamingVaultWriter::finish)), before that day
+/// is written.
 ///
 /// ```no_run
 /// # use san_graph::store::{SnapshotVault, StreamingVaultWriter};
@@ -2567,6 +2573,10 @@ impl SnapshotVault {
 pub struct StreamingVaultWriter<'a> {
     vault: &'a mut SnapshotVault,
     freezer: crate::DeltaFreezer,
+    /// Events of the days applied since the last patch, in log order.
+    buffered: Vec<crate::SanEvent>,
+    /// How many days `buffered` spans.
+    buffered_days: u64,
     step: u32,
     full_every: u32,
     next_day: u32,
@@ -2599,6 +2609,8 @@ impl<'a> StreamingVaultWriter<'a> {
         StreamingVaultWriter {
             vault,
             freezer: crate::DeltaFreezer::new(),
+            buffered: Vec::new(),
+            buffered_days: 0,
             step,
             full_every,
             next_day: 0,
@@ -2609,11 +2621,18 @@ impl<'a> StreamingVaultWriter<'a> {
         }
     }
 
-    /// Applies the next day's events (day numbers are implicit and
-    /// consecutive from 0) and persists if the day is on the grid.
+    /// Takes the next day's events (day numbers are implicit and
+    /// consecutive from 0); if the day is on the grid, patches the
+    /// snapshot with every event since the last patch and persists it.
+    ///
+    /// # Panics
+    /// Panics, when the patch runs, if a buffered event references a node
+    /// that does not exist yet (the [`DeltaFreezer`](crate::DeltaFreezer)
+    /// contract).
     pub fn apply_day(&mut self, events: &[crate::SanEvent]) -> Result<(), StoreError> {
         let day = self.next_day;
-        self.freezer.apply_day(events);
+        self.buffered.extend_from_slice(events);
+        self.buffered_days += 1;
         self.next_day += 1;
         if day.is_multiple_of(self.step) {
             self.persist(day)?;
@@ -2621,7 +2640,17 @@ impl<'a> StreamingVaultWriter<'a> {
         Ok(())
     }
 
+    /// Patches the rolling snapshot with every buffered day.
+    fn flush(&mut self) {
+        if self.buffered_days > 0 {
+            self.freezer.apply_days(&self.buffered, self.buffered_days);
+            self.buffered.clear();
+            self.buffered_days = 0;
+        }
+    }
+
     fn persist(&mut self, day: u32) -> Result<(), StoreError> {
+        self.flush();
         let snap = self.freezer.snapshot();
         self.v1_equivalent_bytes += snap.store_bytes_len();
         match self.prev.take() {
@@ -2640,8 +2669,11 @@ impl<'a> StreamingVaultWriter<'a> {
         Ok(())
     }
 
-    /// The rolling end-of-day snapshot (shared handle, no copy).
+    /// The end-of-day snapshot of the last applied day (shared handle, no
+    /// copy). Patches the buffered days first, so off the grid it costs
+    /// one patch.
     pub fn snapshot(&mut self) -> Arc<CsrSan> {
+        self.flush();
         self.freezer.snapshot()
     }
 

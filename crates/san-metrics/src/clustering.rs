@@ -17,6 +17,18 @@
 //! map `F ∈ {0,1,2}`, and dividing by `2^I` (`I = 1` for directed SANs).
 //! With `K = ⌈ln(2ν)/(2ε²)⌉` the error is at most `ε` with probability
 //! `1 − 1/ν` (Theorem 3).
+//!
+//! Counting `L(u)` takes two routes. Sweeps over a whole node set
+//! ([`average_clustering_exact`], [`clustering_by_degree`],
+//! [`average_clustering_sharded`], [`attr_clustering_by_type`]) allocate
+//! one `u32` stamp per social node for the sweep, mark `Γs(u)` with a
+//! fresh epoch and test each out-neighbour with one load, so a sweep costs
+//! O(Σ out-degree over the neighbourhoods) with no search and no sorted
+//! copy of attribute members. The single-node [`local_clustering_social`]
+//! / [`local_clustering_attr`] point queries binary-search the sorted
+//! neighbourhood instead, since an O(|Vs|) array per query would cost
+//! more than it saves. Both routes count the same integers, so their
+//! coefficients agree bit for bit.
 
 use san_graph::{AttrId, AttrType, SanRead, ShardedCsrSan, SocialId};
 use san_stats::{hoeffding_samples, SplitRng};
@@ -49,6 +61,75 @@ fn directed_links_among(san: &impl SanRead, nodes: &[SocialId]) -> usize {
     count
 }
 
+/// Counts directed links among one neighbourhood at a time by stamping:
+/// the reusable per-sweep state of the whole-set clustering sweeps.
+struct Stamps {
+    /// `stamp[x] == epoch` iff social node `x` is in the current set.
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Stamps {
+    /// Stamps for a graph whose social ids are below `num_social` — the
+    /// **global** count, since a shard's neighbourhoods reach every id.
+    fn new(num_social: usize) -> Stamps {
+        Stamps {
+            stamp: vec![0; num_social],
+            epoch: 0,
+        }
+    }
+
+    /// The directed links among `nodes` (distinct ids, any order),
+    /// counting a link `w → x` only for `x != w`.
+    fn links_among(&mut self, san: &impl SanRead, nodes: &[SocialId]) -> usize {
+        if nodes.len() < 2 {
+            return 0;
+        }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        for &x in nodes {
+            self.stamp[x.index()] = epoch;
+        }
+        let mut count = 0;
+        for &w in nodes {
+            for &x in san.out_neighbors(w) {
+                if x != w && self.stamp[x.index()] == epoch {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// `c(u)` over the neighbourhood `nodes`: what the point queries
+    /// return, bit for bit.
+    fn coefficient(&mut self, san: &impl SanRead, nodes: &[SocialId]) -> f64 {
+        let d = nodes.len();
+        if d < 2 {
+            return 0.0;
+        }
+        self.links_among(san, nodes) as f64 / (d * (d - 1)) as f64
+    }
+
+    /// Sum of `c` over the nodes of `which` that `san` iterates.
+    fn sum(&mut self, san: &impl SanRead, which: NodeSet) -> f64 {
+        match which {
+            NodeSet::Social => san
+                .social_nodes()
+                .map(|u| self.coefficient(san, &san.social_neighbors(u)))
+                .sum(),
+            NodeSet::Attr => san
+                .attr_nodes()
+                .map(|a| self.coefficient(san, san.members_of(a)))
+                .sum(),
+        }
+    }
+}
+
 /// Exact clustering coefficient of a social node.
 pub fn local_clustering_social(san: &impl SanRead, u: SocialId) -> f64 {
     let nbrs = san.social_neighbors(u);
@@ -73,31 +154,17 @@ pub fn local_clustering_attr(san: &impl SanRead, a: AttrId) -> f64 {
     directed_links_among(san, &sorted) as f64 / (d * (d - 1)) as f64
 }
 
-/// Exact average clustering coefficient over `Ω` (O(Σ deg²); use
-/// [`approx_average_clustering`] for large networks).
+/// Exact average clustering coefficient over `Ω` (O(Σ deg²) with one
+/// stamp array; use [`approx_average_clustering`] for large networks).
 pub fn average_clustering_exact(san: &impl SanRead, which: NodeSet) -> f64 {
-    match which {
-        NodeSet::Social => {
-            let n = san.num_social_nodes();
-            if n == 0 {
-                return 0.0;
-            }
-            san.social_nodes()
-                .map(|u| local_clustering_social(san, u))
-                .sum::<f64>()
-                / n as f64
-        }
-        NodeSet::Attr => {
-            let n = san.num_attr_nodes();
-            if n == 0 {
-                return 0.0;
-            }
-            san.attr_nodes()
-                .map(|a| local_clustering_attr(san, a))
-                .sum::<f64>()
-                / n as f64
-        }
+    let n = match which {
+        NodeSet::Social => san.num_social_nodes(),
+        NodeSet::Attr => san.num_attr_nodes(),
+    };
+    if n == 0 {
+        return 0.0;
     }
+    Stamps::new(san.num_social_nodes()).sum(san, which) / n as f64
 }
 
 /// Shard-parallel exact average clustering over `Ω`.
@@ -118,16 +185,8 @@ pub fn average_clustering_sharded(g: &ShardedCsrSan, which: NodeSet) -> f64 {
         return 0.0;
     }
     let sum = g.fold_shards(
-        |shard| match which {
-            NodeSet::Social => shard
-                .social_nodes()
-                .map(|u| local_clustering_social(&shard, u))
-                .sum::<f64>(),
-            NodeSet::Attr => shard
-                .attr_nodes()
-                .map(|a| local_clustering_attr(&shard, a))
-                .sum::<f64>(),
-        },
+        // A shard's ids are global: stamps span the whole id space.
+        |shard| Stamps::new(shard.num_social_nodes()).sum(&shard, which),
         0.0f64,
         |acc, part| acc + part,
     );
@@ -208,27 +267,19 @@ pub fn approx_average_clustering(
 /// the mean clustering coefficient of the nodes with that degree.
 pub fn clustering_by_degree(san: &impl SanRead, which: NodeSet) -> Vec<(u64, f64)> {
     let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    let mut stamps = Stamps::new(san.num_social_nodes());
+    let mut add = |nodes: &[SocialId]| {
+        if !nodes.is_empty() {
+            let e = acc.entry(nodes.len() as u64).or_insert((0.0, 0));
+            e.0 += stamps.coefficient(san, nodes);
+            e.1 += 1;
+        }
+    };
     match which {
-        NodeSet::Social => {
-            for u in san.social_nodes() {
-                let d = san.social_neighbors(u).len() as u64;
-                if d >= 1 {
-                    let e = acc.entry(d).or_insert((0.0, 0));
-                    e.0 += local_clustering_social(san, u);
-                    e.1 += 1;
-                }
-            }
-        }
-        NodeSet::Attr => {
-            for a in san.attr_nodes() {
-                let d = san.social_degree_of_attr(a) as u64;
-                if d >= 1 {
-                    let e = acc.entry(d).or_insert((0.0, 0));
-                    e.0 += local_clustering_attr(san, a);
-                    e.1 += 1;
-                }
-            }
-        }
+        NodeSet::Social => san
+            .social_nodes()
+            .for_each(|u| add(&san.social_neighbors(u))),
+        NodeSet::Attr => san.attr_nodes().for_each(|a| add(san.members_of(a))),
     }
     acc.into_iter()
         .map(|(d, (sum, n))| (d, sum / n as f64))
@@ -284,9 +335,10 @@ pub fn clustering_by_degree_sampled(
 /// `(type, average, node count)` for every type present.
 pub fn attr_clustering_by_type(san: &impl SanRead) -> Vec<(AttrType, f64, usize)> {
     let mut acc: BTreeMap<AttrType, (f64, usize)> = BTreeMap::new();
+    let mut stamps = Stamps::new(san.num_social_nodes());
     for a in san.attr_nodes() {
         let e = acc.entry(san.attr_type(a)).or_insert((0.0, 0));
-        e.0 += local_clustering_attr(san, a);
+        e.0 += stamps.coefficient(san, san.members_of(a));
         e.1 += 1;
     }
     acc.into_iter()
