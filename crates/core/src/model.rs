@@ -153,8 +153,8 @@ pub struct SanModelParams {
     pub reciprocate_schedule: Option<Vec<f64>>,
     /// Multiplier applied to the reciprocation probability when the link
     /// endpoints share at least one attribute (1.0 in the paper's model;
-    /// the Google+ simulator uses ~2.2 to reproduce the Fig. 13a finding
-    /// that common attributes roughly double reciprocity). The effective
+    /// the Google+ simulator uses 1.6 toward the Fig. 13a finding that
+    /// common attributes roughly double reciprocity). The effective
     /// probability is clamped to 1.
     pub reciprocate_attr_boost: f64,
     /// Mean of the exponential delay before a reciprocation fires

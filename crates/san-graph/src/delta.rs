@@ -22,9 +22,18 @@
 //! [`StreamingVaultWriter`](crate::store::StreamingVaultWriter) buffers
 //! the days between two persisted days the same way. A multi-day slice
 //! patches to exactly the state the per-day patches would have reached:
-//! the freezer deduplicates against the links it has pending, counts new
-//! nodes as it goes and rejects unknown endpoints event by event, all in
-//! log order.
+//! the freezer counts new nodes and rejects unknown endpoints event by
+//! event in log order, collects every link as a candidate add, then sorts
+//! and deduplicates each add-list once and drops the pairs the previous
+//! snapshot already holds. Duplicates inside the batch, repeats of an
+//! earlier day's link and a link arriving with its reverse all collapse
+//! there, with no per-event hash lookup; the link counters are the
+//! surviving list lengths.
+//!
+//! The same merge (`patch_csr_into`) rebuilds persisted days: a v2
+//! delta day in a [`SnapshotVault`](crate::store::SnapshotVault) stores
+//! exactly these add-lists, and opening it is one merge onto its base
+//! (see the `store` module's "Delta chains").
 //!
 //! Two internal buffers are double-buffered (`cur`/`scratch`) so steady
 //! state allocates nothing once row capacity has been reached; the current
@@ -38,7 +47,6 @@
 use crate::csr::CsrSan;
 use crate::evolve::SanEvent;
 use crate::ids::{AttrId, AttrType, SocialId};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Builds frozen end-of-day snapshots by patching an earlier [`CsrSan`]
@@ -73,9 +81,6 @@ pub struct DeltaFreezer {
     am_add: Vec<(u32, SocialId)>,
     und_add: Vec<(u32, SocialId)>,
     attr_type_add: Vec<AttrType>,
-    pending_social: HashSet<(u32, u32)>,
-    pending_und: HashSet<(u32, u32)>,
-    pending_attr: HashSet<(u32, u32)>,
     days_applied: u64,
     snapshots_taken: u64,
 }
@@ -164,13 +169,22 @@ pub(crate) fn patch_csr_into<T: Copy + Ord>(
 /// True when `val` is in the (sorted) row `i` of a CSR, treating rows past
 /// the end as empty.
 #[inline]
-fn csr_row_contains<T: Copy + Ord>(off: &[u32], data: &[T], i: usize, val: T) -> bool {
+pub(crate) fn csr_row_contains<T: Copy + Ord>(off: &[u32], data: &[T], i: usize, val: T) -> bool {
     if i + 1 >= off.len() {
         return false;
     }
     data[off[i] as usize..off[i + 1] as usize]
         .binary_search(&val)
         .is_ok()
+}
+
+/// Turns a batch's candidate adds into the add-list
+/// [`patch_csr_into`] takes: sorted by `(row, value)`, deduplicated, and
+/// stripped of every pair the CSR `(off, data)` already holds.
+fn new_adds<T: Copy + Ord>(adds: &mut Vec<(u32, T)>, off: &[u32], data: &[T]) {
+    adds.sort_unstable();
+    adds.dedup();
+    adds.retain(|&(row, v)| !csr_row_contains(off, data, row as usize, v));
 }
 
 impl DeltaFreezer {
@@ -275,12 +289,10 @@ impl DeltaFreezer {
         self.ua_add.clear();
         self.am_add.clear();
         self.und_add.clear();
-        self.pending_social.clear();
-        self.pending_und.clear();
-        self.pending_attr.clear();
         self.attr_type_add.clear();
-        let mut social_links = self.cur.num_social_links;
-        let mut attr_links = self.cur.num_attr_links;
+        // Endpoints are checked in log order (a link may only name nodes
+        // created before it); every non-self link is a candidate add, and
+        // duplicates are resolved once per batch below.
         for ev in events {
             match *ev {
                 SanEvent::SocialNode { .. } => n += 1,
@@ -291,42 +303,33 @@ impl DeltaFreezer {
                 SanEvent::SocialLink { src, dst, .. } => {
                     assert!(src.index() < n, "unknown source {src}");
                     assert!(dst.index() < n, "unknown destination {dst}");
-                    if src == dst || self.has_social_link(src, dst) {
-                        continue;
-                    }
-                    self.pending_social.insert((src.0, dst.0));
-                    self.out_add.push((src.0, dst));
-                    self.in_add.push((dst.0, src));
-                    social_links += 1;
-                    for (a, b) in [(src, dst), (dst, src)] {
-                        if !self.has_und_neighbor(a, b) {
-                            self.pending_und.insert((a.0, b.0));
-                            self.und_add.push((a.0, b));
-                        }
+                    if src != dst {
+                        self.out_add.push((src.0, dst));
+                        self.in_add.push((dst.0, src));
+                        self.und_add.push((src.0, dst));
+                        self.und_add.push((dst.0, src));
                     }
                 }
                 SanEvent::AttrLink { user, attr, .. } => {
                     assert!(user.index() < n, "unknown user {user}");
                     assert!(attr.index() < m, "unknown attr {attr}");
-                    if self.has_attr_link(user, attr) {
-                        continue;
-                    }
-                    self.pending_attr.insert((user.0, attr.0));
                     self.ua_add.push((user.0, attr));
                     self.am_add.push((attr.0, user));
-                    attr_links += 1;
                 }
             }
         }
-        self.out_add.sort_unstable();
-        self.in_add.sort_unstable();
-        self.ua_add.sort_unstable();
-        self.am_add.sort_unstable();
-        self.und_add.sort_unstable();
+        let cur = &*self.cur;
+        new_adds(&mut self.out_add, &cur.out_off, &cur.out_dst);
+        new_adds(&mut self.in_add, &cur.in_off, &cur.in_src);
+        new_adds(&mut self.ua_add, &cur.ua_off, &cur.ua_attr);
+        new_adds(&mut self.am_add, &cur.am_off, &cur.am_user);
+        new_adds(&mut self.und_add, &cur.und_off, &cur.und_nbr);
+        let social_links = cur.num_social_links + self.out_add.len();
+        let attr_links = cur.num_attr_links + self.ua_add.len();
         // Patch every CSR from `cur` into `scratch`, then publish. Untouched
         // structures still need their offset tables re-extended when rows
         // were added, so each of the five goes through the same path.
-        let (cur, s) = (&*self.cur, &mut self.scratch);
+        let s = &mut self.scratch;
         patch_csr_into(
             &cur.out_off,
             &cur.out_dst,
@@ -381,22 +384,6 @@ impl DeltaFreezer {
         let next = Arc::new(std::mem::take(&mut self.scratch));
         let prev = std::mem::replace(&mut self.cur, next);
         self.scratch = Arc::try_unwrap(prev).unwrap_or_default();
-    }
-
-    /// Link membership against current snapshot + this day's pending adds.
-    fn has_social_link(&self, src: SocialId, dst: SocialId) -> bool {
-        self.pending_social.contains(&(src.0, dst.0))
-            || csr_row_contains(&self.cur.out_off, &self.cur.out_dst, src.index(), dst)
-    }
-
-    fn has_und_neighbor(&self, u: SocialId, v: SocialId) -> bool {
-        self.pending_und.contains(&(u.0, v.0))
-            || csr_row_contains(&self.cur.und_off, &self.cur.und_nbr, u.index(), v)
-    }
-
-    fn has_attr_link(&self, user: SocialId, attr: AttrId) -> bool {
-        self.pending_attr.contains(&(user.0, attr.0))
-            || csr_row_contains(&self.cur.ua_off, &self.cur.ua_attr, user.index(), attr)
     }
 }
 

@@ -126,7 +126,8 @@ impl fmt::Debug for Backing {
 /// identical [`CsrSanView`] either way. A standalone v2 *delta* file is
 /// not self-contained and reports [`StoreError::DeltaWithoutBase`]; chain
 /// resolution lives in
-/// [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day).
+/// [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day) and
+/// [`SnapshotVault::map_delta_onto`](crate::store::SnapshotVault::map_delta_onto).
 #[derive(Debug)]
 pub struct MappedSnapshot {
     backing: Backing,
@@ -237,10 +238,13 @@ impl MappedSnapshot {
     /// touching the filesystem: the snapshot is serialised into a sealed
     /// v1-layout buffer, validated through the exact
     /// [`CsrSanView::new`] matrix, and served from owned memory. This is
-    /// how [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day)
-    /// serves a reconstructed delta-chain day behind the same `Send +
-    /// Sync` handle the serving layer caches for plain v1 mappings;
-    /// `path` records which day file the snapshot stands in for.
+    /// how both delta paths — the chain replay of
+    /// [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day)
+    /// and the one-merge open of
+    /// [`SnapshotVault::map_delta_onto`](crate::store::SnapshotVault::map_delta_onto)
+    /// — serve a reconstructed delta day behind the same `Send + Sync`
+    /// handle the serving layer caches for plain v1 mappings; `path`
+    /// records which day file the snapshot stands in for.
     pub fn from_owned(snap: &CsrSan, path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
         // Serialise straight into the aligned buffer: no staging Vec.
         let len = snap.store_bytes_len();

@@ -144,15 +144,34 @@
 //!
 //! ## Delta chains
 //!
-//! Loading a delta day loads its base (which may itself be a delta) and
-//! replays the additions. Chains are bounded at [`MAX_DELTA_CHAIN`] links:
-//! [`SnapshotVault::save_day_delta`] refuses to extend past the bound, and
-//! readers reject deeper chains and dangling bases
-//! ([`StoreError::DeltaWithoutBase`]) rather than recursing unboundedly.
-//! [`StreamingVaultWriter`] emits the pattern *full, (k−1) deltas, full,
-//! …* so any day reconstructs in at most *k* reads — the write-side knob
-//! trading vault bytes (deltas are typically 5–20× smaller than fulls)
-//! against cold-open latency.
+//! A delta day is its base (which may itself be a delta) plus the
+//! additions, applied by one merge per link — the
+//! [`DeltaFreezer`](crate::DeltaFreezer) merge, so persisted deltas patch
+//! bit-identically to live ones. There are two ways to resolve one:
+//!
+//! * **Standalone** — [`SnapshotVault::load_day`] and
+//!   [`map_day`](SnapshotVault::map_day) decode the chain's full ancestor
+//!   and replay every delta above it, oldest first: *k* merges for a
+//!   chain of *k* links. Any caller can do this with no other day open.
+//! * **Onto a resident base** — [`SnapshotVault::map_delta_onto`] takes
+//!   the already-open snapshot of the day's manifest base and applies
+//!   just this day's delta to its borrowed columns: one read, one merge,
+//!   whatever the chain's depth. The serving cache (`san-serve`'s
+//!   `SnapshotServer`) opens a cold delta day this way whenever its base
+//!   is resident, and standalone otherwise.
+//!
+//! Both paths serve the result through
+//! [`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned),
+//! check each delta file's base pointer against the manifest
+//! ([`StoreError::BadManifest`]), and meter the links they apply
+//! ([`VaultMetrics::record_chain`]). Chains are bounded at
+//! [`MAX_DELTA_CHAIN`] links: [`SnapshotVault::save_day_delta`] refuses
+//! to extend past the bound, and readers reject deeper chains and
+//! dangling bases ([`StoreError::DeltaWithoutBase`]) rather than
+//! recursing unboundedly. [`StreamingVaultWriter`] emits the pattern
+//! *full, (k−1) deltas, full, …* so any day reconstructs standalone in at
+//! most *k* reads — the write-side knob trading vault bytes (deltas are
+//! typically 5–20× smaller than fulls) against cold-open latency.
 //!
 //! ## Choosing full vs delta
 //!
@@ -1545,6 +1564,64 @@ pub(crate) struct DeltaDay {
     attr_type_add: Vec<AttrType>,
 }
 
+/// A base snapshot's columns, borrowed: what [`DeltaDay::apply_to`]
+/// reads, so a delta patches an owned [`CsrSan`] (the chain replay) and a
+/// resident [`CsrSanView`](crate::view::CsrSanView) (a served base day)
+/// alike without copying either.
+#[derive(Clone, Copy)]
+pub(crate) struct BaseColumns<'a> {
+    pub(crate) out_off: &'a [u32],
+    pub(crate) out_dst: &'a [SocialId],
+    pub(crate) in_off: &'a [u32],
+    pub(crate) in_src: &'a [SocialId],
+    pub(crate) ua_off: &'a [u32],
+    pub(crate) ua_attr: &'a [AttrId],
+    pub(crate) am_off: &'a [u32],
+    pub(crate) am_user: &'a [SocialId],
+    pub(crate) und_off: &'a [u32],
+    pub(crate) und_nbr: &'a [SocialId],
+    pub(crate) attr_types: BaseAttrTypes<'a>,
+    pub(crate) num_social_links: usize,
+    pub(crate) num_attr_links: usize,
+}
+
+/// The attribute-type column of a [`BaseColumns`]: typed for an owned
+/// snapshot, raw validated tags for a view.
+#[derive(Clone, Copy)]
+pub(crate) enum BaseAttrTypes<'a> {
+    Types(&'a [AttrType]),
+    Tags(&'a [u8]),
+}
+
+impl BaseAttrTypes<'_> {
+    fn len(&self) -> usize {
+        match self {
+            BaseAttrTypes::Types(types) => types.len(),
+            BaseAttrTypes::Tags(tags) => tags.len(),
+        }
+    }
+}
+
+impl<'a> From<&'a CsrSan> for BaseColumns<'a> {
+    fn from(base: &'a CsrSan) -> BaseColumns<'a> {
+        BaseColumns {
+            out_off: &base.out_off,
+            out_dst: &base.out_dst,
+            in_off: &base.in_off,
+            in_src: &base.in_src,
+            ua_off: &base.ua_off,
+            ua_attr: &base.ua_attr,
+            am_off: &base.am_off,
+            am_user: &base.am_user,
+            und_off: &base.und_off,
+            und_nbr: &base.und_nbr,
+            attr_types: BaseAttrTypes::Types(&base.attr_types),
+            num_social_links: base.num_social_links,
+            num_attr_links: base.num_attr_links,
+        }
+    }
+}
+
 /// Per-row sorted-merge diff of two CSRs of a monotonically growing SAN:
 /// every `(row, value)` present in `new` but not in `old`, in `(row,
 /// value)` order — exactly the add-list shape
@@ -1943,8 +2020,8 @@ impl DeltaDay {
     /// add duplicating an edge the base already holds — so the trusted
     /// merge in [`patch_csr_into`](crate::delta) can never see input that
     /// trips its asserts, whatever the file claimed.
-    fn apply_to(&self, base: &CsrSan) -> Result<CsrSan, StoreError> {
-        let base_n = base.num_social_rows() as u64;
+    fn apply_to(&self, base: BaseColumns<'_>) -> Result<CsrSan, StoreError> {
+        let base_n = base.out_off.len().saturating_sub(1) as u64;
         let base_m = base.attr_types.len() as u64;
         let n = self.new_social_rows;
         let m = self.new_attr_rows;
@@ -1993,14 +2070,8 @@ impl DeltaDay {
                     found: grown,
                 });
             }
-            let rows = off.len().saturating_sub(1);
             for &(r, v) in adds {
-                let i = r as usize;
-                if i < rows
-                    && data[off[i] as usize..off[i + 1] as usize]
-                        .binary_search(&v)
-                        .is_ok()
-                {
+                if crate::delta::csr_row_contains(off, data, r as usize, v) {
                     return Err(StoreError::BadCodec {
                         array: name,
                         reason: "add duplicates an edge of the base day",
@@ -2010,72 +2081,57 @@ impl DeltaDay {
             Ok(())
         }
         check_adds(
-            &base.out_off,
-            &base.out_dst,
+            base.out_off,
+            base.out_dst,
             &self.out_add,
             DELTA_LIST_NAMES[0],
         )?;
+        check_adds(base.in_off, base.in_src, &self.in_add, DELTA_LIST_NAMES[1])?;
+        check_adds(base.ua_off, base.ua_attr, &self.ua_add, DELTA_LIST_NAMES[2])?;
+        check_adds(base.am_off, base.am_user, &self.am_add, DELTA_LIST_NAMES[3])?;
         check_adds(
-            &base.in_off,
-            &base.in_src,
-            &self.in_add,
-            DELTA_LIST_NAMES[1],
-        )?;
-        check_adds(
-            &base.ua_off,
-            &base.ua_attr,
-            &self.ua_add,
-            DELTA_LIST_NAMES[2],
-        )?;
-        check_adds(
-            &base.am_off,
-            &base.am_user,
-            &self.am_add,
-            DELTA_LIST_NAMES[3],
-        )?;
-        check_adds(
-            &base.und_off,
-            &base.und_nbr,
+            base.und_off,
+            base.und_nbr,
             &self.und_add,
             DELTA_LIST_NAMES[4],
         )?;
         let (n, m) = (n as usize, m as usize);
         let mut snap = CsrSan::default();
         crate::delta::patch_csr_into(
-            &base.out_off,
-            &base.out_dst,
+            base.out_off,
+            base.out_dst,
             n,
             &self.out_add,
             &mut snap.out_off,
             &mut snap.out_dst,
         );
         crate::delta::patch_csr_into(
-            &base.in_off,
-            &base.in_src,
+            base.in_off,
+            base.in_src,
             n,
             &self.in_add,
             &mut snap.in_off,
             &mut snap.in_src,
         );
         crate::delta::patch_csr_into(
-            &base.ua_off,
-            &base.ua_attr,
+            base.ua_off,
+            base.ua_attr,
             n,
             &self.ua_add,
             &mut snap.ua_off,
             &mut snap.ua_attr,
         );
         crate::delta::patch_csr_into(
-            &base.am_off,
-            &base.am_user,
+            base.am_off,
+            base.am_user,
             m,
             &self.am_add,
             &mut snap.am_off,
             &mut snap.am_user,
         );
         crate::delta::patch_csr_into(
-            &base.und_off,
-            &base.und_nbr,
+            base.und_off,
+            base.und_nbr,
             n,
             &self.und_add,
             &mut snap.und_off,
@@ -2083,7 +2139,15 @@ impl DeltaDay {
         );
         snap.attr_types.clear();
         snap.attr_types.reserve_exact(m);
-        snap.attr_types.extend_from_slice(&base.attr_types);
+        match base.attr_types {
+            BaseAttrTypes::Types(types) => snap.attr_types.extend_from_slice(types),
+            // Tags of a validated view; `Other` is the defensive
+            // catch-all, as in `CsrSanView::to_owned_csr`.
+            BaseAttrTypes::Tags(tags) => snap.attr_types.extend(
+                tags.iter()
+                    .map(|&t| attr_type_from_tag(t).unwrap_or(AttrType::Other)),
+            ),
+        }
         snap.attr_types.extend_from_slice(&self.attr_type_add);
         snap.num_social_links = self.num_social_links as usize;
         snap.num_attr_links = self.num_attr_links as usize;
@@ -2134,7 +2198,9 @@ pub struct DayEntry {
 /// and renamed before the manifest is updated) **and** for how to read
 /// each one: a delta day names its base, and [`SnapshotVault::load_day`] /
 /// [`SnapshotVault::map_day`] walk base chains (bounded by
-/// [`MAX_DELTA_CHAIN`]) transparently, so mixed v1/v2/delta vaults serve
+/// [`MAX_DELTA_CHAIN`]) transparently — or, when the caller already holds
+/// the base open, [`SnapshotVault::map_delta_onto`] applies just the one
+/// delta — so mixed v1/v2/delta vaults serve
 /// every consumer — including
 /// [`SnapshotVault::nearest_at_or_before`] warm-starts and
 /// [`SanTimeline::resume_from_vault`](crate::SanTimeline::resume_from_vault)
@@ -2450,10 +2516,12 @@ impl SnapshotVault {
         }
     }
 
-    /// Reconstructs a delta day: eager-load its full ancestor, then apply
-    /// the chain's deltas oldest → newest. Metered as one read of the
-    /// chain's combined bytes, plus the chain counters
-    /// ([`VaultMetrics::record_chain`]).
+    /// Reconstructs a delta day standalone: eager-load its full ancestor,
+    /// then apply the chain's deltas oldest → newest, one merge per link.
+    /// Metered as one read of the chain's combined bytes, plus the chain
+    /// counters ([`VaultMetrics::record_chain`]). A caller that already
+    /// holds the base day resident opens the day with one merge instead
+    /// ([`map_delta_onto`](SnapshotVault::map_delta_onto)).
     fn load_delta_chain(&self, day: u32) -> Result<Arc<CsrSan>, StoreError> {
         let started = Instant::now();
         let (full_day, chain) = self.chain_for(day)?;
@@ -2462,29 +2530,87 @@ impl SnapshotVault {
         let mut r = BufReader::new(file);
         let mut cur = CsrSan::read_from(&mut r)?;
         for &d in chain.iter().rev() {
-            let raw = fs::read(self.day_path(d))?;
-            total_bytes += raw.len() as u64;
-            let delta = DeltaDay::read(&raw)?;
-            // Defense in depth: the file's own base pointer must agree
-            // with the manifest's chain.
-            let expected_base = match self.days.get(&d).map(|e| e.format) {
-                Some(DayFormat::V2Delta { base }) => base,
-                _ => d,
-            };
-            if delta.base_day != expected_base {
-                return Err(StoreError::BadManifest {
-                    line: 0,
-                    reason: format!(
-                        "day {d}'s file patches base day {}, manifest says {expected_base}",
-                        delta.base_day
-                    ),
-                });
-            }
-            cur = delta.apply_to(&cur)?;
+            let (delta, bytes) = self.read_delta(d)?;
+            total_bytes += bytes;
+            cur = delta.apply_to((&cur).into())?;
         }
         self.metrics.record_read(total_bytes, started.elapsed());
         self.metrics.record_chain(chain.len() as u64);
         Ok(Arc::new(cur))
+    }
+
+    /// Reads and decodes delta day `d`'s file, returning it with its byte
+    /// length. Defense in depth: the file's own base pointer must agree
+    /// with the manifest's, or the read fails as
+    /// [`StoreError::BadManifest`].
+    fn read_delta(&self, d: u32) -> Result<(DeltaDay, u64), StoreError> {
+        let raw = fs::read(self.day_path(d))?;
+        let delta = DeltaDay::read(&raw)?;
+        let expected_base = match self.days.get(&d).map(|e| e.format) {
+            Some(DayFormat::V2Delta { base }) => base,
+            _ => d,
+        };
+        if delta.base_day != expected_base {
+            return Err(StoreError::BadManifest {
+                line: 0,
+                reason: format!(
+                    "day {d}'s file patches base day {}, manifest says {expected_base}",
+                    delta.base_day
+                ),
+            });
+        }
+        Ok((delta, raw.len() as u64))
+    }
+
+    /// Opens delta day `day` onto `base`, a snapshot of the day its
+    /// manifest entry names as base (already open — typically resident in
+    /// a serving cache): one delta read and one merge, whatever the depth
+    /// of the chain below the base. The result is bit-identical to
+    /// [`map_day`](SnapshotVault::map_day) and is served from an owned
+    /// v1-layout buffer ([`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned)),
+    /// like every reconstructed delta day. Metered as a read of the delta
+    /// file plus a chain of one link ([`VaultMetrics::record_chain`]).
+    ///
+    /// Fails with [`StoreError::DayNotPersisted`] for an unknown day, with
+    /// [`StoreError::BadManifest`] when `day` is not a delta day, its
+    /// chain is broken or too deep, `base` stands in for a different day
+    /// than the manifest's base, or the file's base pointer disagrees with
+    /// the manifest; decode and consistency failures of the delta surface
+    /// as from [`load_day`](SnapshotVault::load_day).
+    #[cfg(unix)]
+    pub fn map_delta_onto(
+        &self,
+        day: u32,
+        base: &crate::mmap::MappedSnapshot,
+    ) -> Result<crate::mmap::MappedSnapshot, StoreError> {
+        let Some(&entry) = self.days.get(&day) else {
+            return Err(StoreError::DayNotPersisted { day });
+        };
+        let DayFormat::V2Delta { base: base_day } = entry.format else {
+            return Err(StoreError::BadManifest {
+                line: 0,
+                reason: format!("day {day} is a full day, not a delta"),
+            });
+        };
+        // The whole manifest chain is still walked (a map lookup per
+        // link): a chain the standalone path rejects stays rejected here.
+        self.chain_for(day)?;
+        if base.path() != self.day_path(base_day) {
+            return Err(StoreError::BadManifest {
+                line: 0,
+                reason: format!(
+                    "delta day {day} patches day {base_day}, but the base supplied is {}",
+                    base.path().display()
+                ),
+            });
+        }
+        let started = Instant::now();
+        let (delta, bytes) = self.read_delta(day)?;
+        let snap = delta.apply_to(base.view().into())?;
+        let mapped = crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))?;
+        self.metrics.record_read(bytes, started.elapsed());
+        self.metrics.record_chain(1);
+        Ok(mapped)
     }
 
     /// Maps a persisted day read-only into memory and validates it once

@@ -48,8 +48,9 @@ use crate::csr::{row, sorted_intersection_count, CsrSan};
 use crate::ids::{AttrId, AttrType, SocialId};
 use crate::read::SanRead;
 use crate::store::{
-    array_at, attr_type_from_tag, check_id_range, check_offsets, elem_bytes, fnv1a64, StoreError,
-    StoreHeader, ARRAY_NAMES, CHECKSUM_BYTES, HEADER_BYTES, NUM_ARRAYS,
+    array_at, attr_type_from_tag, check_id_range, check_offsets, elem_bytes, fnv1a64,
+    BaseAttrTypes, BaseColumns, StoreError, StoreHeader, ARRAY_NAMES, CHECKSUM_BYTES, HEADER_BYTES,
+    NUM_ARRAYS,
 };
 use std::borrow::Cow;
 use std::fmt;
@@ -280,6 +281,27 @@ impl<'a> CsrSanView<'a> {
                 .collect(),
             num_social_links: self.num_social_links,
             num_attr_links: self.num_attr_links,
+        }
+    }
+}
+
+impl<'a> From<CsrSanView<'a>> for BaseColumns<'a> {
+    /// The view's columns as a delta base, borrowed from the buffer.
+    fn from(view: CsrSanView<'a>) -> BaseColumns<'a> {
+        BaseColumns {
+            out_off: view.out_off,
+            out_dst: view.out_dst,
+            in_off: view.in_off,
+            in_src: view.in_src,
+            ua_off: view.ua_off,
+            ua_attr: view.ua_attr,
+            am_off: view.am_off,
+            am_user: view.am_user,
+            und_off: view.und_off,
+            und_nbr: view.und_nbr,
+            attr_types: BaseAttrTypes::Tags(view.attr_tags),
+            num_social_links: view.num_social_links,
+            num_attr_links: view.num_attr_links,
         }
     }
 }

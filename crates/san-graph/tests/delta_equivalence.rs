@@ -55,6 +55,74 @@ fn arb_timeline(max_ops: usize) -> impl Strategy<Value = SanTimeline> {
     })
 }
 
+/// Strategy: an arbitrary day-ordered *raw* event log — the shape a
+/// `TimelineBuilder` never records. Besides fresh nodes and links it
+/// emits exact repeats of earlier links of both layers (within one batch
+/// or across days, depending on where the batches are cut), the reverse
+/// of an earlier link, and self-loops, so every rejection rule of replay
+/// meets the freezer's batch dedup.
+fn arb_raw_log(max_ops: usize) -> impl Strategy<Value = Vec<SanEvent>> {
+    prop::collection::vec((0u8..10, any::<u32>(), any::<u32>()), 1..max_ops).prop_map(|ops| {
+        let (mut day, mut ns, mut na) = (0u32, 0u32, 0u32);
+        let mut social: Vec<(SocialId, SocialId)> = Vec::new();
+        let mut attr: Vec<(SocialId, AttrId)> = Vec::new();
+        let mut events = Vec::new();
+        for (op, x, y) in ops {
+            let link = |events: &mut Vec<SanEvent>, src, dst| {
+                events.push(SanEvent::SocialLink { day, src, dst });
+            };
+            match op {
+                0 | 1 => {
+                    events.push(SanEvent::SocialNode { day });
+                    ns += 1;
+                }
+                2 => {
+                    events.push(SanEvent::AttrNode {
+                        day,
+                        ty: AttrType::PAPER_TYPES[(x % 4) as usize],
+                    });
+                    na += 1;
+                }
+                // A fresh link; `x % ns == y % ns` makes a self-loop.
+                3 if ns >= 1 => {
+                    let (src, dst) = (SocialId(x % ns), SocialId(y % ns));
+                    link(&mut events, src, dst);
+                    social.push((src, dst));
+                }
+                // An exact repeat of an earlier link.
+                4 if !social.is_empty() => {
+                    let (src, dst) = social[x as usize % social.len()];
+                    link(&mut events, src, dst);
+                }
+                // The reverse of an earlier link.
+                5 if !social.is_empty() => {
+                    let (src, dst) = social[x as usize % social.len()];
+                    link(&mut events, dst, src);
+                    social.push((dst, src));
+                }
+                // An explicit self-loop.
+                6 if ns >= 1 => {
+                    let u = SocialId(x % ns);
+                    link(&mut events, u, u);
+                }
+                7 if ns >= 1 && na >= 1 => {
+                    let (user, a) = (SocialId(x % ns), AttrId(y % na));
+                    events.push(SanEvent::AttrLink { day, user, attr: a });
+                    attr.push((user, a));
+                }
+                // An exact repeat of an earlier attribute link.
+                8 if !attr.is_empty() => {
+                    let (user, a) = attr[x as usize % attr.len()];
+                    events.push(SanEvent::AttrLink { day, user, attr: a });
+                }
+                9 => day += 1 + x % 2,
+                _ => {}
+            }
+        }
+        events
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -135,6 +203,36 @@ proptest! {
             }
             prop_assert_eq!(freezer.current(), &tl.snapshot_csr(max_day));
         }
+    }
+
+    /// `apply_days` over random batch cuts of a raw log — duplicate links
+    /// within a batch and across batches, a link with its reverse,
+    /// self-loops, duplicate attribute links — equals replaying the same
+    /// prefix through `San` and freezing, field for field, after every
+    /// batch.
+    #[test]
+    fn apply_days_on_raw_logs_equals_san_replay(
+        events in arb_raw_log(160),
+        cuts_raw in prop::collection::vec(any::<u32>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts_raw
+            .iter()
+            .map(|&c| c as usize % (events.len() + 1))
+            .chain([events.len()])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut freezer = DeltaFreezer::new();
+        let mut start = 0;
+        for &end in &cuts {
+            freezer.apply_days(&events[start..end], 1);
+            let replayed = SanTimeline::from_events(events[..end].to_vec())
+                .final_snapshot()
+                .freeze();
+            prop_assert_eq!(freezer.current(), &replayed, "batch ending at event {}", end);
+            start = end;
+        }
+        prop_assert_eq!(freezer.days_applied(), cuts.len() as u64);
     }
 }
 

@@ -42,6 +42,17 @@
 //!
 //!   Eviction racing a publish stays exact: the cache's byte accounting
 //!   is updated under the shard lock, independent of the latch.
+//! * **Delta days open onto their resident base.** A v2 vault stores
+//!   most days as deltas against an earlier base day. A cold delta
+//!   day's leader peeks the cache for the manifest base; when it is
+//!   resident, as in a day-by-day sweep, the leader applies just the one
+//!   delta onto it
+//!   ([`SnapshotVault::map_delta_onto`](san_graph::store::SnapshotVault::map_delta_onto)):
+//!   one read and one merge. Otherwise it replays the chain standalone
+//!   ([`SnapshotVault::map_day`](san_graph::store::SnapshotVault::map_day)),
+//!   caching nothing but the requested day. The peek is not a fetch: it
+//!   counts no hit or miss and never joins the base's flight, so flights
+//!   never nest (model-checked in `model_tests.rs`).
 //! * **Per-day memo of whole-graph aggregates**: each cache entry holds
 //!   the mapping *and* a memo slot for its global reciprocity, so a
 //!   cache hit, a cold map and a dedup wait on one resident day all share

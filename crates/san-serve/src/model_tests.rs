@@ -27,7 +27,13 @@
 //!   one cache entry and fill its memo slot exactly once
 //!   ([`memo_fills_once_per_resident_day`]), and a fill racing eviction
 //!   completes on its handle while the re-mapped day's slot starts empty
-//!   ([`memo_fill_racing_eviction_completes_and_remap_starts_empty`]).
+//!   ([`memo_fill_racing_eviction_completes_and_remap_starts_empty`]);
+//! * delta days opened onto a resident base — a cold delta day's leader
+//!   only peeks its base in the cache and never joins the base's flight,
+//!   so racing a cold fetch of that base opens each day exactly once and
+//!   never deadlocks ([`delta_open_peeks_base_without_joining_its_flight`]),
+//!   and a failing base reaches the delta day's waiters and clears both
+//!   latches ([`failed_base_fails_the_delta_flight_too`]).
 
 // Redundant with the gated `mod` declaration in lib.rs, but makes this
 // file self-describing as test-only code (san-audit classifies files
@@ -590,6 +596,246 @@ fn memo_fill_racing_eviction_completes_and_remap_starts_empty() {
         ));
     });
     assert!(report.iterations > 1, "explored {}", report.iterations);
+    drop(snap);
+    let _ = std::fs::remove_file(path);
+}
+
+/// The delta day of the delta-open models and its base.
+const DELTA_DAY: u32 = 7;
+const BASE_DAY: u32 = 3;
+
+/// Opens counted by the delta-open models: the base day's own flight,
+/// the delta applied onto a resident base, and the delta replayed
+/// standalone from the base file.
+#[derive(Default)]
+struct DeltaOpens {
+    base: AtomicU64,
+    onto_resident: AtomicU64,
+    replayed: AtomicU64,
+}
+
+/// The typed failure of a corrupt base file.
+fn base_error() -> Arc<StoreError> {
+    Arc::new(StoreError::BadChecksum {
+        expected: 1,
+        found: 2,
+    })
+}
+
+/// How a delta-open model fetch ended: the cache entry or the broadcast
+/// error, plus whether the caller received it through another thread's
+/// flight of the delta day.
+type DeltaFetch = (Result<Arc<ResidentDay>, Arc<StoreError>>, bool);
+
+/// The server's fetch of [`DELTA_DAY`] with its cold open
+/// (`SnapshotServer::open_cold`): the leader peeks the cache for
+/// [`BASE_DAY`] and opens the delta onto it when resident, else replays
+/// the chain standalone, reading the base file itself. It never joins
+/// the base's flight. When `base_fails`, reading the base file fails.
+fn model_fetch_delta(
+    table: &FlightTable,
+    cache: &ShardedLru,
+    snap: &Arc<MappedSnapshot>,
+    opens: &DeltaOpens,
+    base_fails: bool,
+) -> DeltaFetch {
+    loop {
+        if let Some(resident) = cache.get(DELTA_DAY) {
+            return (Ok(resident), false);
+        }
+        match table.join(DELTA_DAY) {
+            Flight::Leader(leader) => {
+                if let Some(cached) = cache.get(DELTA_DAY) {
+                    leader.publish(FlightOutcome::Mapped(Arc::clone(&cached)));
+                    return (Ok(cached), false);
+                }
+                let counter = if cache.get(BASE_DAY).is_some() {
+                    &opens.onto_resident
+                } else if base_fails {
+                    let error = base_error();
+                    leader.publish(FlightOutcome::Failed(Arc::clone(&error)));
+                    return (Err(error), false);
+                } else {
+                    &opens.replayed
+                };
+                counter.fetch_add(1, Ordering::SeqCst);
+                let mapped = fresh(snap);
+                let resident = cache
+                    .insert(DELTA_DAY, Arc::clone(&mapped))
+                    .incumbent
+                    .unwrap_or(mapped);
+                leader.publish(FlightOutcome::Mapped(Arc::clone(&resident)));
+                return (Ok(resident), false);
+            }
+            Flight::Waiter(FlightOutcome::Mapped(resident)) => return (Ok(resident), true),
+            Flight::Waiter(FlightOutcome::Failed(error)) => return (Err(error), true),
+            Flight::Waiter(FlightOutcome::Aborted) => continue,
+        }
+    }
+}
+
+/// A cold fetch of [`BASE_DAY`] by its only fetcher, which therefore
+/// leads the flight: open (or fail), insert, publish. The cache checks
+/// of the full fetch shape are left out (the base starts cold and
+/// nothing else inserts it) to keep the models exhaustive.
+fn model_open_base(
+    table: &FlightTable,
+    cache: &ShardedLru,
+    snap: &Arc<MappedSnapshot>,
+    opens: &DeltaOpens,
+    fails: bool,
+) -> Result<(), Arc<StoreError>> {
+    let Flight::Leader(leader) = table.join(BASE_DAY) else {
+        panic!("the base has one fetcher");
+    };
+    if fails {
+        let error = base_error();
+        leader.publish(FlightOutcome::Failed(Arc::clone(&error)));
+        return Err(error);
+    }
+    opens.base.fetch_add(1, Ordering::SeqCst);
+    let mapped = fresh(snap);
+    let outcome = cache.insert(BASE_DAY, Arc::clone(&mapped));
+    assert!(outcome.incumbent.is_none(), "the base is inserted once");
+    leader.publish(FlightOutcome::Mapped(mapped));
+    Ok(())
+}
+
+/// Spawns a model thread running [`model_fetch_delta`].
+fn spawn_delta_fetch(
+    snap: &Arc<MappedSnapshot>,
+    cache: &Arc<ShardedLru>,
+    table: &Arc<FlightTable>,
+    opens: &Arc<DeltaOpens>,
+    base_fails: bool,
+) -> loom_lite::thread::JoinHandle<DeltaFetch> {
+    let (cache, table) = (Arc::clone(cache), Arc::clone(table));
+    let (snap, opens) = (Arc::clone(snap), Arc::clone(opens));
+    loom_lite::thread::spawn(move || model_fetch_delta(&table, &cache, &snap, &opens, base_fails))
+}
+
+/// Spawns a model thread running [`model_open_base`].
+fn spawn_base_open(
+    snap: &Arc<MappedSnapshot>,
+    cache: &Arc<ShardedLru>,
+    table: &Arc<FlightTable>,
+    opens: &Arc<DeltaOpens>,
+    fails: bool,
+) -> loom_lite::thread::JoinHandle<Result<(), Arc<StoreError>>> {
+    let (cache, table) = (Arc::clone(cache), Arc::clone(table));
+    let (snap, opens) = (Arc::clone(snap), Arc::clone(opens));
+    loom_lite::thread::spawn(move || model_open_base(&table, &cache, &snap, &opens, fails))
+}
+
+/// Asserts the aftermath of a failed base: every fetch got the typed
+/// error, nothing was opened or cached, and every latch cleared.
+fn assert_base_failure_everywhere<'a>(
+    errors: impl IntoIterator<Item = Option<&'a Arc<StoreError>>>,
+    cache: &ShardedLru,
+    table: &FlightTable,
+    opens: &DeltaOpens,
+) {
+    for error in errors {
+        let error = error.expect("a failed base fails everyone");
+        assert!(matches!(**error, StoreError::BadChecksum { .. }));
+    }
+    let opened = opens.base.load(Ordering::SeqCst)
+        + opens.onto_resident.load(Ordering::SeqCst)
+        + opens.replayed.load(Ordering::SeqCst);
+    assert_eq!(opened, 0, "nothing opened");
+    assert_eq!(cache.len(), 0, "failures are never cached");
+    cache.assert_accounting();
+    assert_eq!(table.in_flight(), 0, "every latch cleared");
+}
+
+/// Thread A cold-fetches the delta day while thread B cold-fetches its
+/// base. In every schedule both fetches complete (no deadlock: A's
+/// leader peeks the base and never waits on B's flight), each day is
+/// opened exactly once — the delta onto the resident base or by chain
+/// replay, depending on whether B's insert came first — both latches
+/// clear, and the byte accounting is exact.
+#[test]
+fn delta_open_peeks_base_without_joining_its_flight() {
+    let (snap, path) = mapped_fixture("delta-peek");
+    let one = snap.mapped_bytes() as u64;
+    let seen = Arc::new(DeltaOpens::default());
+    let (snap2, seen2) = (Arc::clone(&snap), Arc::clone(&seen));
+    let report = loom_lite::model(move || {
+        let cache = Arc::new(ShardedLru::new(2, u64::MAX));
+        let table = Arc::new(FlightTable::new());
+        let opens = Arc::new(DeltaOpens::default());
+        let delta = spawn_delta_fetch(&snap2, &cache, &table, &opens, false);
+        let base = spawn_base_open(&snap2, &cache, &table, &opens, false);
+        let (delta, base) = (delta.join().expect("delta"), base.join().expect("base"));
+        assert!(delta.0.is_ok() && base.is_ok(), "both fetches serve");
+        let (onto, replayed) = (
+            opens.onto_resident.load(Ordering::SeqCst),
+            opens.replayed.load(Ordering::SeqCst),
+        );
+        assert_eq!(opens.base.load(Ordering::SeqCst), 1, "base opened once");
+        assert_eq!(onto + replayed, 1, "delta opened once");
+        assert_eq!(cache.len(), 2, "base and delta both resident");
+        assert_eq!(cache.resident_bytes(), 2 * one);
+        cache.assert_accounting();
+        assert_eq!(table.in_flight(), 0, "both latches cleared");
+        seen2.onto_resident.fetch_add(onto, Ordering::SeqCst);
+        seen2.replayed.fetch_add(replayed, Ordering::SeqCst);
+    });
+    assert!(report.iterations > 1, "explored {}", report.iterations);
+    assert!(
+        seen.onto_resident.load(Ordering::SeqCst) > 0 && seen.replayed.load(Ordering::SeqCst) > 0,
+        "both delta open paths are reachable"
+    );
+    drop(snap);
+    let _ = std::fs::remove_file(path);
+}
+
+/// A base that fails to open. The base is never resident, so a delta
+/// leader replays the chain and meets the same failure. Two models, each
+/// over every schedule (one model of all three threads is past an
+/// exhaustive search): thread A cold-fetches the delta day while thread
+/// B's base open fails; and, once the base has failed, threads A and C
+/// cold-fetch the delta day together. Every fetch gets the typed error
+/// (in some schedule C through A's latch), nothing is opened or cached,
+/// and both latches clear, so the next fetch retries from scratch.
+#[test]
+fn failed_base_fails_the_delta_flight_too() {
+    let (snap, path) = mapped_fixture("delta-fail");
+    let snap2 = Arc::clone(&snap);
+    let report = loom_lite::model(move || {
+        let cache = Arc::new(ShardedLru::new(2, u64::MAX));
+        let table = Arc::new(FlightTable::new());
+        let opens = Arc::new(DeltaOpens::default());
+        let delta = spawn_delta_fetch(&snap2, &cache, &table, &opens, true);
+        let base = spawn_base_open(&snap2, &cache, &table, &opens, true);
+        let (delta, base) = (delta.join().expect("delta"), base.join().expect("base"));
+        let errors = [delta.0.as_ref().err(), base.as_ref().err()];
+        assert_base_failure_everywhere(errors, &cache, &table, &opens);
+    });
+    assert!(report.iterations > 1, "explored {}", report.iterations);
+
+    let delta_waits = Arc::new(AtomicU64::new(0));
+    let (snap2, waits2) = (Arc::clone(&snap), Arc::clone(&delta_waits));
+    let report = loom_lite::model(move || {
+        let cache = Arc::new(ShardedLru::new(2, u64::MAX));
+        let table = Arc::new(FlightTable::new());
+        let opens = Arc::new(DeltaOpens::default());
+        let base = model_open_base(&table, &cache, &snap2, &opens, true);
+        let herd: Vec<_> = (0..2)
+            .map(|_| spawn_delta_fetch(&snap2, &cache, &table, &opens, true))
+            .collect();
+        let deltas: Vec<DeltaFetch> = herd.into_iter().map(|h| h.join().expect("delta")).collect();
+        let errors = deltas.iter().map(|(r, _)| r.as_ref().err());
+        assert_base_failure_everywhere(errors.chain([base.as_ref().err()]), &cache, &table, &opens);
+        if deltas.iter().any(|(_, waited)| *waited) {
+            waits2.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    assert!(report.iterations > 1, "explored {}", report.iterations);
+    assert!(
+        delta_waits.load(Ordering::SeqCst) > 0,
+        "no schedule delivered the failure through the delta latch"
+    );
     drop(snap);
     let _ = std::fs::remove_file(path);
 }

@@ -4,7 +4,7 @@ use crate::cache::{ResidentDay, ShardedLru};
 use crate::flight::{Flight, FlightOutcome, FlightTable};
 use crate::metrics::ServeMetrics;
 use san_graph::mmap::MappedSnapshot;
-use san_graph::store::{SnapshotVault, StoreError};
+use san_graph::store::{DayFormat, SnapshotVault, StoreError};
 use san_graph::view::CsrSanView;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -232,6 +232,10 @@ impl SnapshotServer {
     /// a leader that mapped reports `ColdMap`; any path that blocked on
     /// another flight reports `DedupWait` (the wait dominates even when
     /// the loop then resolves via the cache); everything else is `Hit`.
+    ///
+    /// A leader of a delta day opens it onto its base when the base is
+    /// resident ([`open_cold`](SnapshotServer::open_cold)); that peek is
+    /// not a fetch and records no hit or miss of its own.
     fn fetch(&self, persisted: u32) -> Result<(SnapshotHandle, FetchKind), StoreError> {
         let mut ever_waited = false;
         let kind_of = |waited: bool| {
@@ -273,8 +277,7 @@ impl SnapshotServer {
                         ));
                     }
                     self.metrics.record_miss();
-                    let started = Instant::now();
-                    let snap = match self.vault.map_day(persisted) {
+                    let snap = match self.open_cold(persisted) {
                         Ok(snap) => Arc::new(snap),
                         Err(error) => {
                             // Broadcast the typed failure to the herd; the
@@ -284,9 +287,6 @@ impl SnapshotServer {
                             return Err(error);
                         }
                     };
-                    self.metrics
-                        .io()
-                        .record_read(snap.mapped_bytes() as u64, started.elapsed());
                     let fresh = Arc::new(ResidentDay::new(snap));
                     let outcome = self.cache.insert(persisted, Arc::clone(&fresh));
                     self.metrics.record_evictions(outcome.evicted);
@@ -328,6 +328,29 @@ impl SnapshotServer {
                 }
             }
         }
+    }
+
+    /// The cold-miss open of `day`, run by its flight's leader. A delta
+    /// day whose manifest base is resident is applied onto that mapping:
+    /// one delta read and one merge. Any other day — a full day, or a
+    /// delta whose base is cold — is opened standalone by
+    /// [`SnapshotVault::map_day`], which replays the chain. Peeking the
+    /// base bumps its recency but counts no hit or miss, and never waits
+    /// on another flight. Metered into the server's IO meters.
+    fn open_cold(&self, day: u32) -> Result<MappedSnapshot, StoreError> {
+        let base = match self.vault.day_format(day) {
+            Some(DayFormat::V2Delta { base }) => self.cache.get(base),
+            _ => None,
+        };
+        let started = Instant::now();
+        let snap = match &base {
+            Some(base) => self.vault.map_delta_onto(day, &base.snap)?,
+            None => self.vault.map_day(day)?,
+        };
+        self.metrics
+            .io()
+            .record_read(snap.mapped_bytes() as u64, started.elapsed());
+        Ok(snap)
     }
 }
 

@@ -5,7 +5,10 @@
 
 #![cfg(unix)]
 
-use san_graph::store::{SnapshotVault, StoreError};
+use san_graph::store::{
+    fnv1a64, DayFormat, SnapshotVault, StoreError, StreamingVaultWriter, CHECKSUM_BYTES,
+    MAX_DELTA_CHAIN,
+};
 use san_graph::{SanRead, SanTimeline, SocialId, TimelineBuilder};
 use san_metrics::clustering::{average_clustering_exact, NodeSet};
 use san_metrics::reciprocity::global_reciprocity;
@@ -69,6 +72,47 @@ fn served_vault(tag: &str, days: u32, step: u32) -> (TempDir, SanTimeline, Vec<u
     let mut vault = SnapshotVault::create(&tmp.0).expect("create vault");
     let saved = vault.save_timeline(&tl, step).expect("persist");
     (tmp, tl, saved)
+}
+
+/// v2 vault of `growing_timeline(days)` written the production way
+/// (`StreamingVaultWriter`): every `step`-th day, a full day every
+/// `full_every` persisted days and deltas between.
+fn delta_vault(
+    tag: &str,
+    days: u32,
+    step: u32,
+    full_every: u32,
+) -> (TempDir, SanTimeline, Vec<u32>) {
+    let tmp = TempDir::new(tag);
+    let tl = growing_timeline(days);
+    let mut vault = SnapshotVault::create(&tmp.0).expect("create vault");
+    let mut writer = StreamingVaultWriter::new(&mut vault, step, full_every);
+    let events = tl.events();
+    for day in 0..=tl.max_day().expect("non-empty timeline") {
+        let start = events.partition_point(|e| e.day() < day);
+        let end = events.partition_point(|e| e.day() <= day);
+        writer.apply_day(&events[start..end]).expect("persist");
+    }
+    let saved = writer.finish().expect("finish");
+    (tmp, tl, saved)
+}
+
+/// Deltas a fetch of `day` applies: none for a resident or full day,
+/// one onto a resident base, else every link of its chain.
+fn cold_deltas_on_fetch(server: &SnapshotServer, day: u32) -> u64 {
+    let vault = server.vault();
+    match vault.day_format(day) {
+        _ if server.is_cached(day) => 0,
+        Some(DayFormat::V2Delta { base }) if server.is_cached(base) => 1,
+        _ => {
+            let (mut links, mut day) = (0, day);
+            while let Some(DayFormat::V2Delta { base }) = vault.day_format(day) {
+                links += 1;
+                day = base;
+            }
+            links
+        }
+    }
 }
 
 #[test]
@@ -458,5 +502,167 @@ fn get_exact_kind_classifies_fetch_cost() {
     assert!(matches!(
         server.get_exact_kind(day + 1),
         Err(StoreError::DayNotPersisted { .. })
+    ));
+}
+
+/// Delta days are opened onto their resident base, whatever the vault
+/// layout, fetch order or byte budget: every served day equals the
+/// standalone `load_day`, and the vault counts exactly one applied delta
+/// for a cold delta day whose base is resident (its whole chain, replayed
+/// standalone, otherwise).
+#[test]
+fn delta_days_open_onto_their_cached_base() {
+    let mut onto_resident = 0;
+    for full_every in [1, 2, 4, MAX_DELTA_CHAIN as u32] {
+        let (tmp, _tl, saved) = delta_vault("delta-open", 36, 2, full_every);
+        assert!(saved.len() > MAX_DELTA_CHAIN, "a full-length chain exists");
+        let vault = SnapshotVault::open(&tmp.0).expect("reopen");
+        let loaded: Vec<_> = saved
+            .iter()
+            .map(|&d| vault.load_day(d).expect("load"))
+            .collect();
+        let one_day = loaded
+            .iter()
+            .map(|s| s.store_bytes_len())
+            .max()
+            .expect("days");
+        let mut rng = SplitRng::new(u64::from(full_every));
+        let mut shuffled = saved.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let descending: Vec<u32> = saved.iter().rev().copied().collect();
+        for order in [&saved, &descending, &shuffled] {
+            for budget in [one_day, 3 * one_day, 8 * one_day, u64::MAX] {
+                let server = SnapshotServer::open(
+                    &tmp.0,
+                    ServeConfig {
+                        max_resident_bytes: budget,
+                        cache_shards: 2,
+                    },
+                )
+                .expect("open");
+                for &day in order {
+                    let base_resident = match server.vault().day_format(day) {
+                        Some(DayFormat::V2Delta { base }) => server.is_cached(base),
+                        _ => false,
+                    };
+                    let cold = !server.is_cached(day);
+                    let expect = cold_deltas_on_fetch(&server, day);
+                    let before = server.vault().metrics().delta_links_applied();
+                    let fetches = server.metrics().hits() + server.metrics().misses();
+                    let handle = server.get_exact(day).expect("served");
+                    let applied = server.vault().metrics().delta_links_applied() - before;
+                    assert_eq!(
+                        server.metrics().hits() + server.metrics().misses(),
+                        fetches + 1,
+                        "one hit or miss per client fetch, none for a base peek"
+                    );
+                    let at = saved.iter().position(|&d| d == day).expect("saved day");
+                    assert_eq!(
+                        handle.view().to_owned_csr(),
+                        *loaded[at],
+                        "full_every {full_every} budget {budget} day {day}"
+                    );
+                    assert_eq!(applied, expect, "full_every {full_every} day {day}");
+                    if cold && base_resident {
+                        assert_eq!(applied, 1, "one merge onto a resident base");
+                        onto_resident += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        onto_resident > 0,
+        "no cold delta open found its base resident"
+    );
+}
+
+/// A corrupt delta in the middle of a chain fails the serve path with the
+/// same error as the standalone chain replay; the failure is retried, not
+/// cached, and the undamaged ancestors keep serving.
+#[test]
+fn corrupt_middle_delta_fails_like_load_day_and_is_not_cached() {
+    let (tmp, tl, saved) = delta_vault("delta-corrupt", 12, 1, 4);
+    let vault = SnapshotVault::open(&tmp.0).expect("reopen");
+    // Days 0 (full) ← 1 ← 2 ← 3: corrupt the middle delta, day 2.
+    assert_eq!(vault.day_format(3), Some(DayFormat::V2Delta { base: 2 }));
+    assert_eq!(vault.day_format(2), Some(DayFormat::V2Delta { base: 1 }));
+    let path = vault.day_path(2);
+    let good = std::fs::read(&path).expect("read day 2");
+    let mut bad = good.clone();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0x5a;
+    std::fs::write(&path, &bad).expect("corrupt day 2");
+    let standalone = vault.load_day(3).expect_err("corrupt chain");
+    let server = SnapshotServer::open(&tmp.0, ServeConfig::default()).expect("open");
+    for _ in 0..2 {
+        let served = server.get_exact(3).expect_err("corrupt chain");
+        assert_eq!(
+            std::mem::discriminant(&served),
+            std::mem::discriminant(&standalone),
+            "served {served:?} vs load_day {standalone:?}"
+        );
+        assert!(!server.is_cached(2) && !server.is_cached(3));
+    }
+    for day in [0, 1] {
+        let h = server.get_exact(day).expect("undamaged ancestor");
+        assert_eq!(h.view().to_owned_csr(), tl.snapshot_csr(day));
+    }
+    // Repairing the file heals the chain: nothing was negatively cached.
+    std::fs::write(&path, &good).expect("repair day 2");
+    let healed = server.get_exact(3).expect("repaired chain");
+    assert_eq!(healed.view().to_owned_csr(), tl.snapshot_csr(saved[3]));
+}
+
+/// `map_delta_onto` keeps the standalone path's manifest checks: a delta
+/// file whose own base pointer disagrees with the manifest, and a base
+/// snapshot that stands in for another day, are both `BadManifest`.
+#[test]
+fn delta_open_onto_base_checks_the_manifest() {
+    let (tmp, _tl, _saved) = delta_vault("delta-base", 12, 1, 4);
+    let vault = SnapshotVault::open(&tmp.0).expect("reopen");
+    let base = vault.map_day(1).expect("base day");
+    let other = vault.map_day(0).expect("another day");
+    assert!(matches!(
+        vault.map_delta_onto(2, &other),
+        Err(StoreError::BadManifest { .. })
+    ));
+    assert!(matches!(
+        vault.map_delta_onto(0, &other),
+        Err(StoreError::BadManifest { .. })
+    ));
+    assert!(matches!(
+        vault.map_delta_onto(99, &base),
+        Err(StoreError::DayNotPersisted { day: 99 })
+    ));
+    let before = vault.metrics().delta_links_applied();
+    let opened = vault.map_delta_onto(2, &base).expect("one merge");
+    assert_eq!(vault.metrics().delta_links_applied() - before, 1);
+    assert_eq!(
+        opened.view().to_owned_csr(),
+        *vault.load_day(2).expect("load")
+    );
+    // Point day 2's file at base day 0 and re-seal it.
+    let path = vault.day_path(2);
+    let mut bytes = std::fs::read(&path).expect("read day 2");
+    bytes[16..20].copy_from_slice(&0u32.to_le_bytes());
+    let body = bytes.len() - CHECKSUM_BYTES;
+    let seal = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite day 2");
+    assert!(matches!(
+        vault.map_delta_onto(2, &base),
+        Err(StoreError::BadManifest { .. })
+    ));
+    assert!(matches!(
+        vault.load_day(2),
+        Err(StoreError::BadManifest { .. })
+    ));
+    let server = SnapshotServer::open(&tmp.0, ServeConfig::default()).expect("open");
+    assert!(matches!(
+        server.get_exact(2),
+        Err(StoreError::BadManifest { .. })
     ));
 }
