@@ -7,6 +7,7 @@
 //! After synthesis the vault is reopened cold and spot-checked: the final
 //! persisted day must be bit-identical to the ground truth, full days
 //! must open fast, and delta days must reconstruct through their chain.
+//! Both open timings are the median of five `load_day` calls.
 //!
 //! Environment knobs (all optional):
 //!
@@ -26,7 +27,11 @@ use san_graph::store::{DayFormat, SnapshotVault, StreamingVaultWriter};
 use san_graph::SanRead;
 use san_sim::{GooglePlus, GooglePlusParams};
 use std::path::PathBuf;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// `load_day` calls per timed open; the recorded row is their median.
+const LOADS: usize = 5;
 
 fn env_u32(name: &str, default: u32) -> u32 {
     std::env::var(name)
@@ -54,6 +59,20 @@ fn peak_rss_bytes() -> Option<u64> {
         .parse()
         .ok()?;
     Some(kb * 1024)
+}
+
+/// Loads `day` [`LOADS`] times; returns the snapshot and the median time.
+fn median_load(vault: &SnapshotVault, day: u32) -> (Arc<san_graph::CsrSan>, Duration) {
+    let mut times = Vec::with_capacity(LOADS);
+    let mut last = None;
+    for _ in 0..LOADS {
+        drop(last.take());
+        let t = Instant::now();
+        last = Some(vault.load_day(day).expect("load day"));
+        times.push(t.elapsed());
+    }
+    times.sort();
+    (last.expect("LOADS > 0"), times[LOADS / 2])
 }
 
 fn mib(bytes: u64) -> f64 {
@@ -140,21 +159,18 @@ fn main() {
         .find(|&&d| matches!(vault.day_format(d), Some(DayFormat::V2Delta { .. })))
         .copied();
 
-    let t = Instant::now();
-    let full_snap = vault.load_day(last_full).expect("load full day");
-    let cold_open = t.elapsed();
+    let (full_snap, cold_open) = median_load(&vault, last_full);
     println!(
-        "cold open of full day {last_full} ({} nodes): {cold_open:.0?}",
+        "cold open of full day {last_full} ({} nodes): {cold_open:.0?} (median of {LOADS} loads)",
         full_snap.num_social_nodes()
     );
 
     let delta_reconstruct = deepest_delta.map(|day| {
-        let t = Instant::now();
-        let snap = vault.load_day(day).expect("reconstruct delta day");
-        let took = t.elapsed();
-        let links = vault.metrics().delta_links_applied();
+        let (snap, took) = median_load(&vault, day);
+        let links = vault.metrics().delta_links_applied() / LOADS as u64;
         println!(
-            "delta-chain reconstruct of day {day} ({} nodes, {links} links applied): {took:.0?}",
+            "delta-chain reconstruct of day {day} ({} nodes, {links} links applied): {took:.0?} \
+             (median of {LOADS} loads)",
             snap.num_social_nodes()
         );
         took

@@ -20,7 +20,8 @@
 //! hand [`DeltaFreezer::apply_days`] every event since the previous
 //! sampled day in one slice, and
 //! [`StreamingVaultWriter`](crate::store::StreamingVaultWriter) buffers
-//! the days between two persisted days the same way. A multi-day slice
+//! the days between two persisted days the same way, then hands the
+//! batch to its worker thread, which owns the freezer. A multi-day slice
 //! patches to exactly the state the per-day patches would have reached:
 //! the freezer counts new nodes and rejects unknown endpoints event by
 //! event in log order, collects every link as a candidate add, then sorts

@@ -62,7 +62,8 @@
 //!   days, so sweeps can warm-start from disk
 //!   ([`evolve::SanTimeline::resume_from_vault`]) instead of replaying the
 //!   event log, plus [`store::StreamingVaultWriter`] for bounded-memory
-//!   synthesize-and-persist runs,
+//!   synthesize-and-persist runs that patch and encode each persisted
+//!   day on one background thread,
 //! * [`codec`] — the v2 column codec: frame-of-reference blocks with
 //!   zigzag + varint deltas over `u32` sequences, fully typed on decode,
 //! * [`view`] — [`view::CsrSanView`], a borrowed zero-copy `SanRead` over

@@ -257,7 +257,8 @@ impl VaultMetrics {
         self.read_latency.record(elapsed);
     }
 
-    /// Records one completed write (persist).
+    /// Records one completed write: a persist's commit (see
+    /// [`write_latency`](VaultMetrics::write_latency)).
     pub fn record_write(&self, bytes: u64, elapsed: Duration) {
         // ORDERING: relaxed — same argument as record_read.
         saturating_fetch_add(&self.written_bytes, bytes);
@@ -329,7 +330,11 @@ impl VaultMetrics {
         &self.read_latency
     }
 
-    /// Latency distribution of writes (persist).
+    /// Latency distribution of writes: each persist's commit — temp-file
+    /// write, rename and manifest rewrite — whether the day was saved
+    /// directly or through a
+    /// [`StreamingVaultWriter`](crate::store::StreamingVaultWriter). The
+    /// in-memory encode before the commit is not included.
     pub fn write_latency(&self) -> &LatencyHistogram {
         &self.write_latency
     }

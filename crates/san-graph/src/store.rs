@@ -87,6 +87,15 @@
 //! then warm-starts any later sweep from the nearest persisted day instead
 //! of replaying from day 0.
 //!
+//! Every persist is two steps: the day is encoded into memory, then
+//! committed — a delta day's base checked against the manifest, the bytes
+//! written to a temp file and renamed into place, the manifest rewritten,
+//! the write meters fed. The `save_day*` methods run both steps on the
+//! caller's thread. [`StreamingVaultWriter`], which persists a timeline as
+//! it is generated, runs them on two: its worker thread patches and
+//! encodes each grid day while the calling thread commits the previous
+//! one.
+//!
 //! # Format (`SANCSRBF`, version 2)
 //!
 //! Version 2 shares v1's magic, little-endian discipline, and FNV-1a 64
@@ -197,9 +206,12 @@ use crate::meter::VaultMetrics;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::mem;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// File magic identifying the columnar CsrSan snapshot family.
@@ -953,7 +965,7 @@ impl CsrSan {
     /// arrays in little-endian, then the FNV-1a trailer — through a
     /// bounded staging buffer, so writing never allocates proportional to
     /// the snapshot. Wrap the destination in a
-    /// [`BufWriter`] when writing to a file.
+    /// [`BufWriter`](std::io::BufWriter) when writing to a file.
     pub fn write_to(&self, w: &mut impl Write) -> Result<u64, StoreError> {
         let counts = self.array_counts();
         // Element width per array: ten u32 columns, one u8 tag column.
@@ -2179,6 +2191,29 @@ pub struct DayEntry {
     pub format: DayFormat,
 }
 
+/// One day's file image, encoded in memory and not yet in any vault: the
+/// first half of every persist. [`SnapshotVault::commit`] is the second,
+/// so a day encoded on another thread lands through the same checks,
+/// temp-file rename and manifest update as one saved directly.
+struct EncodedDay {
+    day: u32,
+    format: DayFormat,
+    bytes: Vec<u8>,
+}
+
+impl EncodedDay {
+    /// Runs `write` (one of the `write_*` serialisers) into a fresh buffer.
+    fn encode(
+        day: u32,
+        format: DayFormat,
+        write: impl FnOnce(&mut Vec<u8>) -> Result<u64, StoreError>,
+    ) -> Result<EncodedDay, StoreError> {
+        let mut bytes = Vec::new();
+        write(&mut bytes)?;
+        Ok(EncodedDay { day, format, bytes })
+    }
+}
+
 /// A directory of persisted daily snapshots: `day-NNNN.csr` files plus a
 /// `manifest.txt` index.
 ///
@@ -2358,17 +2393,22 @@ impl SnapshotVault {
     }
 
     /// Persists one day's snapshot, returning its serialised size. The
-    /// file is written to a temporary name and renamed, then the manifest
-    /// is rewritten — a crash mid-save never leaves a registered,
-    /// half-written day. Saving a day that already exists overwrites it.
+    /// day is encoded in memory, then committed: written to a temporary
+    /// name and renamed, then the manifest is rewritten — a crash
+    /// mid-save never leaves a registered, half-written day. Saving a day
+    /// that already exists overwrites it.
     pub fn save_day(&mut self, day: u32, snap: &CsrSan) -> Result<u64, StoreError> {
-        self.persist_day(day, DayFormat::V1Full, |w| snap.write_to(w))
+        self.commit(EncodedDay::encode(day, DayFormat::V1Full, |w| {
+            snap.write_to(w)
+        })?)
     }
 
     /// Persists one day in the v2 compressed full format (see the module
     /// docs); otherwise identical to [`save_day`](SnapshotVault::save_day).
     pub fn save_day_v2(&mut self, day: u32, snap: &CsrSan) -> Result<u64, StoreError> {
-        self.persist_day(day, DayFormat::V2Full, |w| snap.write_v2_to(w))
+        self.commit(EncodedDay::encode(day, DayFormat::V2Full, |w| {
+            snap.write_v2_to(w)
+        })?)
     }
 
     /// Persists `day` as a v2 delta against the already-persisted
@@ -2385,6 +2425,40 @@ impl SnapshotVault {
         base: &CsrSan,
         snap: &CsrSan,
     ) -> Result<u64, StoreError> {
+        let delta = delta_between(base_day, base, snap);
+        self.commit(EncodedDay::encode(
+            day,
+            DayFormat::V2Delta { base: base_day },
+            |w| delta.write_to(w),
+        )?)
+    }
+
+    /// The second half of every persist, whatever the format and whoever
+    /// encoded the day: a delta day's base is checked against the
+    /// manifest, then the bytes go to a temporary file that is renamed
+    /// into place before the manifest is rewritten. The write meters see
+    /// the bytes and this commit's latency (file write + rename +
+    /// manifest), not the encode.
+    fn commit(&mut self, encoded: EncodedDay) -> Result<u64, StoreError> {
+        let EncodedDay { day, format, bytes } = encoded;
+        if let DayFormat::V2Delta { base } = format {
+            self.check_delta_base(day, base)?;
+        }
+        let started = Instant::now();
+        let tmp = self.dir.join(format!("day-{day:04}.csr.tmp"));
+        fs::write(&tmp, &bytes)?;
+        fs::rename(&tmp, self.day_path(day))?;
+        let len = bytes.len() as u64;
+        self.days.insert(day, DayEntry { bytes: len, format });
+        self.write_manifest()?;
+        self.metrics.record_write(len, started.elapsed());
+        Ok(len)
+    }
+
+    /// The checks a delta day passes before it is committed: its base is
+    /// persisted, precedes it, and extending the base's chain stays within
+    /// [`MAX_DELTA_CHAIN`].
+    fn check_delta_base(&self, day: u32, base_day: u32) -> Result<(), StoreError> {
         if !self.days.contains_key(&base_day) {
             return Err(StoreError::DayNotPersisted { day: base_day });
         }
@@ -2404,34 +2478,7 @@ impl SnapshotVault {
                 ),
             });
         }
-        let delta = delta_between(base_day, base, snap);
-        self.persist_day(day, DayFormat::V2Delta { base: base_day }, |w| {
-            delta.write_to(w)
-        })
-    }
-
-    /// The shared persist path: tmp file + rename, manifest update,
-    /// metering — identical crash-safety whatever the format.
-    fn persist_day(
-        &mut self,
-        day: u32,
-        format: DayFormat,
-        write: impl FnOnce(&mut BufWriter<fs::File>) -> Result<u64, StoreError>,
-    ) -> Result<u64, StoreError> {
-        let started = Instant::now();
-        let tmp = self.dir.join(format!("day-{day:04}.csr.tmp"));
-        let bytes = {
-            let file = fs::File::create(&tmp)?;
-            let mut w = BufWriter::new(file);
-            let bytes = write(&mut w)?;
-            w.flush()?;
-            bytes
-        };
-        fs::rename(&tmp, self.day_path(day))?;
-        self.days.insert(day, DayEntry { bytes, format });
-        self.write_manifest()?;
-        self.metrics.record_write(bytes, started.elapsed());
-        Ok(bytes)
+        Ok(())
     }
 
     /// Freezes every `step`-th day of the timeline (always including the
@@ -2670,20 +2717,49 @@ impl SnapshotVault {
     }
 }
 
-/// Streams a synthesized timeline straight into a vault: days off the
-/// grid are only buffered, and each grid day patches the rolling snapshot
-/// (a [`DeltaFreezer`](crate::DeltaFreezer) inside) once with every event
-/// since the previous grid day, then is persisted the moment it completes
-/// — compressed v2 full days every `full_every`-th persist, v2 deltas
-/// against the previous persisted day otherwise. The persisted bytes are
-/// exactly those of patching every day. Nothing else is retained: peak
-/// memory is one grid interval's events plus the rolling snapshot (and the
-/// previous persisted day's `Arc`, which shares storage with it in the
-/// steady state), however many days the timeline runs.
+/// Streams a synthesized timeline straight into a vault, overlapping the
+/// generator with persistence. Days off the grid are only buffered. On a
+/// grid day the buffered events move to the writer's one worker thread,
+/// which owns the rolling snapshot (a [`DeltaFreezer`](crate::DeltaFreezer)),
+/// patches it once with every event since the previous grid day and
+/// encodes the day: a compressed v2 full day every `full_every`-th
+/// persist, a v2 delta against the previous persisted day otherwise. The
+/// calling thread keeps the vault and commits each encoded day in day
+/// order (the base checks of [`SnapshotVault::save_day_delta`], temp
+/// file, rename, manifest, meters) while the worker patches the next one.
+/// The persisted bytes are exactly those of patching every day and saving
+/// it through [`SnapshotVault::save_day_v2`] /
+/// [`SnapshotVault::save_day_delta`].
 ///
-/// A link to an unknown node panics when its grid day is patched (at the
-/// latest in [`finish`](StreamingVaultWriter::finish)), before that day
-/// is written.
+/// At most one grid day is with the worker: the next grid day's
+/// [`apply_day`](StreamingVaultWriter::apply_day) waits for it first, so
+/// when `apply_day` returns on a grid day, every earlier grid day is
+/// committed or has returned its error. Peak memory is one grid
+/// interval's events, plus one in flight, plus the rolling snapshot (and
+/// the previous persisted day's `Arc`, which shares storage with it in
+/// the steady state, and one encoded day awaiting its commit), however
+/// many days the timeline runs.
+///
+/// # Errors, panics and `Drop`
+///
+/// A commit error (an I/O failure, a rejected delta base) comes back from
+/// the call that commits the day: the next grid day's `apply_day`, or
+/// [`finish`](StreamingVaultWriter::finish). A delta day whose base
+/// failed to commit then fails the base check in turn
+/// ([`StoreError::DayNotPersisted`]), up to the next full day.
+///
+/// A link to an unknown node panics on the worker when its grid day is
+/// patched, before that day is encoded. The panic resumes on the calling
+/// thread, with its original payload, at the first call that waits for
+/// the worker: the next grid day's `apply_day`,
+/// [`snapshot`](StreamingVaultWriter::snapshot),
+/// [`v1_equivalent_bytes`](StreamingVaultWriter::v1_equivalent_bytes) or
+/// `finish` — or in `Drop`, unless the calling thread is already
+/// panicking.
+///
+/// Dropping the writer without `finish` joins the worker and commits
+/// nothing more: the day in flight and a trailing off-grid day are not
+/// published.
 ///
 /// ```no_run
 /// # use san_graph::store::{SnapshotVault, StreamingVaultWriter};
@@ -2698,8 +2774,12 @@ impl SnapshotVault {
 /// ```
 pub struct StreamingVaultWriter<'a> {
     vault: &'a mut SnapshotVault,
-    freezer: crate::DeltaFreezer,
-    /// Events of the days applied since the last patch, in log order.
+    /// Batches for the worker (capacity 1); `None` once closed.
+    jobs: Option<SyncSender<Job>>,
+    /// The worker's answers, one per job, in job order.
+    answers: Receiver<Answer>,
+    worker: Option<JoinHandle<()>>,
+    /// Events of the days applied since the last batch, in log order.
     buffered: Vec<crate::SanEvent>,
     /// How many days `buffered` spans.
     buffered_days: u64,
@@ -2707,9 +2787,71 @@ pub struct StreamingVaultWriter<'a> {
     full_every: u32,
     next_day: u32,
     deltas_since_full: u32,
-    prev: Option<(u32, Arc<CsrSan>)>,
+    /// The grid day sent last: the base of the next delta day.
+    last_sent: Option<u32>,
+    /// A grid day is with the worker and its answer is not back yet.
+    in_flight: bool,
+    /// The answer for the grid day sent last, back but not yet committed.
+    encoded: Option<Result<EncodedDay, StoreError>>,
     saved: Vec<u32>,
     v1_equivalent_bytes: u64,
+}
+
+/// One batch for the writer's worker: the events since the previous batch.
+struct Job {
+    events: Vec<crate::SanEvent>,
+    /// How many days `events` spans.
+    days: u64,
+    /// `Some((day, base))` encodes the patched snapshot as `day`, a delta
+    /// on the grid day `base` sent before it or a full day when `base` is
+    /// `None`; `None` sends the snapshot itself back.
+    persist: Option<(u32, Option<u32>)>,
+}
+
+/// The worker's answer to one [`Job`].
+enum Answer {
+    /// A grid day's encoded file and its v1-equivalent size.
+    Day(Result<EncodedDay, StoreError>, u64),
+    /// The patched snapshot a `persist: None` job asked for.
+    Snapshot(Arc<CsrSan>),
+}
+
+/// The writer's worker: owns the freezer and the previous persisted
+/// snapshot, answers every job in order, and returns once the writer
+/// closes the job channel.
+fn patch_and_encode(jobs: Receiver<Job>, answers: Sender<Answer>) {
+    let mut freezer = crate::DeltaFreezer::new();
+    let mut prev: Option<Arc<CsrSan>> = None;
+    for Job {
+        events,
+        days,
+        persist,
+    } in jobs
+    {
+        freezer.apply_days(&events, days);
+        drop(events);
+        let snap = freezer.snapshot();
+        let answer = match persist {
+            None => Answer::Snapshot(snap),
+            Some((day, base)) => {
+                let encoded = match (base, prev.as_deref()) {
+                    (Some(base_day), Some(base)) => {
+                        let delta = delta_between(base_day, base, &snap);
+                        EncodedDay::encode(day, DayFormat::V2Delta { base: base_day }, |w| {
+                            delta.write_to(w)
+                        })
+                    }
+                    _ => EncodedDay::encode(day, DayFormat::V2Full, |w| snap.write_v2_to(w)),
+                };
+                let v1_len = snap.store_bytes_len();
+                prev = Some(snap);
+                Answer::Day(encoded, v1_len)
+            }
+        };
+        if answers.send(answer).is_err() {
+            return;
+        }
+    }
 }
 
 impl<'a> StreamingVaultWriter<'a> {
@@ -2717,11 +2859,11 @@ impl<'a> StreamingVaultWriter<'a> {
     /// [`SnapshotVault::save_timeline`]: day 0, then multiples of `step`,
     /// plus the final day at [`finish`](StreamingVaultWriter::finish)),
     /// with at most `full_every - 1` consecutive deltas between full
-    /// days.
+    /// days. Starts the writer's worker thread.
     ///
     /// # Panics
-    /// Panics if `step == 0` or `full_every` is 0 or above
-    /// [`MAX_DELTA_CHAIN`].
+    /// Panics if `step == 0`, if `full_every` is 0 or above
+    /// [`MAX_DELTA_CHAIN`], or if the OS cannot start a thread.
     pub fn new(
         vault: &'a mut SnapshotVault,
         step: u32,
@@ -2732,29 +2874,37 @@ impl<'a> StreamingVaultWriter<'a> {
             (1..=MAX_DELTA_CHAIN as u32).contains(&full_every),
             "full_every must be in 1..={MAX_DELTA_CHAIN}"
         );
+        let (jobs, job_rx) = mpsc::sync_channel(1);
+        let (answer_tx, answers) = mpsc::channel();
+        let worker = std::thread::spawn(move || patch_and_encode(job_rx, answer_tx));
         StreamingVaultWriter {
             vault,
-            freezer: crate::DeltaFreezer::new(),
+            jobs: Some(jobs),
+            answers,
+            worker: Some(worker),
             buffered: Vec::new(),
             buffered_days: 0,
             step,
             full_every,
             next_day: 0,
             deltas_since_full: 0,
-            prev: None,
+            last_sent: None,
+            in_flight: false,
+            encoded: None,
             saved: Vec::new(),
             v1_equivalent_bytes: 0,
         }
     }
 
     /// Takes the next day's events (day numbers are implicit and
-    /// consecutive from 0); if the day is on the grid, patches the
-    /// snapshot with every event since the last patch and persists it.
+    /// consecutive from 0). On a grid day, waits for the previous grid day,
+    /// hands every event since then to the worker and commits the previous
+    /// grid day while the worker patches and encodes this one.
     ///
     /// # Panics
-    /// Panics, when the patch runs, if a buffered event references a node
-    /// that does not exist yet (the [`DeltaFreezer`](crate::DeltaFreezer)
-    /// contract).
+    /// Resumes a panic of the worker (see the type docs), such as a
+    /// buffered event that references a node that does not exist yet (the
+    /// [`DeltaFreezer`](crate::DeltaFreezer) contract).
     pub fn apply_day(&mut self, events: &[crate::SanEvent]) -> Result<(), StoreError> {
         let day = self.next_day;
         self.buffered.extend_from_slice(events);
@@ -2766,41 +2916,96 @@ impl<'a> StreamingVaultWriter<'a> {
         Ok(())
     }
 
-    /// Patches the rolling snapshot with every buffered day.
-    fn flush(&mut self) {
-        if self.buffered_days > 0 {
-            self.freezer.apply_days(&self.buffered, self.buffered_days);
-            self.buffered.clear();
-            self.buffered_days = 0;
+    /// Hands grid day `day` to the worker, then commits the grid day
+    /// before it.
+    fn persist(&mut self, day: u32) -> Result<(), StoreError> {
+        self.wait();
+        let base = match self.last_sent {
+            Some(base) if self.deltas_since_full < self.full_every - 1 => {
+                self.deltas_since_full += 1;
+                Some(base)
+            }
+            _ => {
+                self.deltas_since_full = 0;
+                None
+            }
+        };
+        self.last_sent = Some(day);
+        self.send_batch(Some((day, base)));
+        self.in_flight = true;
+        self.commit()
+    }
+
+    /// Moves the buffered days to the worker.
+    fn send_batch(&mut self, persist: Option<(u32, Option<u32>)>) {
+        let next = Vec::with_capacity(self.buffered.len());
+        let job = Job {
+            events: mem::replace(&mut self.buffered, next),
+            days: mem::take(&mut self.buffered_days),
+            persist,
+        };
+        let sent = self
+            .jobs
+            .as_ref()
+            .is_some_and(|jobs| jobs.send(job).is_ok());
+        if !sent {
+            self.resume_worker_panic();
         }
     }
 
-    fn persist(&mut self, day: u32) -> Result<(), StoreError> {
-        self.flush();
-        let snap = self.freezer.snapshot();
-        self.v1_equivalent_bytes += snap.store_bytes_len();
-        match self.prev.take() {
-            Some((prev_day, prev_snap)) if self.deltas_since_full < self.full_every - 1 => {
-                self.vault
-                    .save_day_delta(day, prev_day, &prev_snap, &snap)?;
-                self.deltas_since_full += 1;
-            }
-            _ => {
-                self.vault.save_day_v2(day, &snap)?;
-                self.deltas_since_full = 0;
+    /// Waits for the grid day in flight, if any, and keeps its answer for
+    /// [`commit`](StreamingVaultWriter::commit).
+    fn wait(&mut self) {
+        if mem::take(&mut self.in_flight) {
+            if let Answer::Day(encoded, v1_len) = self.receive() {
+                self.v1_equivalent_bytes += v1_len;
+                self.encoded = Some(encoded);
             }
         }
-        self.prev = Some((day, snap));
-        self.saved.push(day);
+    }
+
+    /// Commits the grid day the worker answered last, if not done yet.
+    fn commit(&mut self) -> Result<(), StoreError> {
+        if let Some(encoded) = self.encoded.take() {
+            let encoded = encoded?;
+            let day = encoded.day;
+            self.vault.commit(encoded)?;
+            self.saved.push(day);
+        }
         Ok(())
     }
 
+    fn receive(&mut self) -> Answer {
+        match self.answers.recv() {
+            Ok(answer) => answer,
+            Err(_) => self.resume_worker_panic(),
+        }
+    }
+
+    /// The worker hung up mid-job, so it panicked: join it and resume its
+    /// panic here.
+    fn resume_worker_panic(&mut self) -> ! {
+        self.jobs = None;
+        let payload: Box<dyn std::any::Any + Send> = match self.worker.take().map(JoinHandle::join)
+        {
+            Some(Err(payload)) => payload,
+            _ => Box::new("the vault writer's worker thread is gone"),
+        };
+        std::panic::resume_unwind(payload)
+    }
+
     /// The end-of-day snapshot of the last applied day (shared handle, no
-    /// copy). Patches the buffered days first, so off the grid it costs
-    /// one patch.
+    /// copy). Waits for the worker to patch the buffered days, so off the
+    /// grid it costs one patch.
     pub fn snapshot(&mut self) -> Arc<CsrSan> {
-        self.flush();
-        self.freezer.snapshot()
+        self.wait();
+        self.send_batch(None);
+        loop {
+            // After `wait`, the only answer outstanding is this one.
+            if let Answer::Snapshot(snap) = self.receive() {
+                return snap;
+            }
+        }
     }
 
     /// Days applied so far (the next [`apply_day`](StreamingVaultWriter::apply_day)
@@ -2809,22 +3014,45 @@ impl<'a> StreamingVaultWriter<'a> {
         self.next_day
     }
 
-    /// What the persisted days would have occupied in the raw v1 format —
-    /// the denominator of the v2 compression ratio.
-    pub fn v1_equivalent_bytes(&self) -> u64 {
+    /// What every grid day applied so far would occupy in the raw v1
+    /// format — the denominator of the v2 compression ratio. Waits for the
+    /// grid day in flight.
+    pub fn v1_equivalent_bytes(&mut self) -> u64 {
+        self.wait();
         self.v1_equivalent_bytes
     }
 
     /// Persists the final day if it is off the grid (matching
     /// [`SnapshotVault::save_timeline`]'s always-include-the-last-day
-    /// contract) and returns the persisted days in order.
+    /// contract), commits every day still pending, and returns the
+    /// persisted days in order. The first commit error is returned after
+    /// the remaining days have been tried.
     pub fn finish(mut self) -> Result<Vec<u32>, StoreError> {
+        let mut result = Ok(());
         if let Some(last) = self.next_day.checked_sub(1) {
             if last % self.step != 0 {
-                self.persist(last)?;
+                result = self.persist(last);
             }
         }
-        Ok(self.saved)
+        self.wait();
+        result.and(self.commit())?;
+        Ok(mem::take(&mut self.saved))
+    }
+}
+
+impl Drop for StreamingVaultWriter<'_> {
+    /// Closes the job channel and joins the worker; the day in flight, if
+    /// any, is not committed. Resumes a worker panic unless this thread is
+    /// already panicking.
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(worker) = self.worker.take() {
+            if let Err(payload) = worker.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
     }
 }
 
@@ -3274,6 +3502,7 @@ mod tests {
                 expected.push((day as u32, reference.snapshot()));
             }
         }
+        let v1_equiv: u64 = expected.iter().map(|(_, s)| s.store_bytes_len()).sum();
         let dir = std::env::temp_dir().join(format!("san-vault-stream-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut vault = SnapshotVault::create(&dir).unwrap();
@@ -3283,6 +3512,8 @@ mod tests {
                 writer.apply_day(events).unwrap();
             }
             assert_eq!(writer.days_applied(), 11);
+            // Grid day 10 is still with the worker here, and counts.
+            assert_eq!(writer.v1_equivalent_bytes(), v1_equiv);
             let saved = writer.finish().unwrap();
             assert_eq!(saved, vec![0, 2, 4, 6, 8, 10]);
         }
@@ -3298,13 +3529,32 @@ mod tests {
             assert_eq!(*vault.load_day(*day).unwrap(), **snap, "day {day}");
         }
         // The whole v2 vault undercuts the v1-equivalent footprint.
-        let v1_equiv: u64 = expected.iter().map(|(_, s)| s.store_bytes_len()).sum();
         assert!(
             vault.disk_bytes() < v1_equiv,
             "v2 vault {} vs v1-equivalent {}",
             vault.disk_bytes(),
             v1_equiv
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writer_meters_one_commit_per_persisted_day() {
+        let dir = std::env::temp_dir().join(format!("san-vault-wmeter-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut vault = SnapshotVault::create(&dir).unwrap();
+        let saved = {
+            let mut writer = StreamingVaultWriter::new(&mut vault, 3, 2);
+            for events in &event_days(11) {
+                writer.apply_day(events).unwrap();
+            }
+            writer.finish().unwrap()
+        };
+        assert_eq!(saved, vec![0, 3, 6, 9, 10]);
+        let m = vault.metrics();
+        assert_eq!(m.writes(), saved.len() as u64);
+        assert_eq!(m.write_latency().count(), saved.len() as u64);
+        assert_eq!(m.written_bytes(), vault.disk_bytes());
         let _ = fs::remove_dir_all(&dir);
     }
 

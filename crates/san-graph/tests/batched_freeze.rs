@@ -5,6 +5,12 @@
 //! through `save_day_v2` / `save_day_delta`; a `snapshot()` taken between
 //! grid days equals the per-day state; and a link to an unknown node
 //! still panics before its day is published.
+//!
+//! The writer patches and encodes on a worker thread and commits on the
+//! caller's, so the suite also pins what crosses that boundary: a commit
+//! failure comes back typed, a worker panic resumes on the caller with
+//! its payload, and dropping the writer joins the worker without
+//! publishing anything more.
 
 use proptest::prelude::*;
 use san_graph::prelude::*;
@@ -224,4 +230,160 @@ fn unknown_endpoint_panics_before_the_grid_day_is_published() {
     assert!(!vault.day_path(4).exists());
     let reopened = SnapshotVault::open(&tmp.0).expect("reopen vault");
     assert_eq!(reopened.days().collect::<Vec<_>>(), vec![0, 2]);
+}
+
+/// A growing chain: two users linked on day 0, then one user a day
+/// linked both ways to the previous one.
+fn chain_days(num_days: u32) -> Vec<Vec<SanEvent>> {
+    (0..num_days)
+        .map(|day| {
+            let link = |src, dst| SanEvent::SocialLink {
+                day,
+                src: SocialId(src),
+                dst: SocialId(dst),
+            };
+            match day {
+                0 => vec![
+                    SanEvent::SocialNode { day },
+                    SanEvent::SocialNode { day },
+                    link(0, 1),
+                ],
+                _ => vec![
+                    SanEvent::SocialNode { day },
+                    link(day + 1, day),
+                    link(day, day + 1),
+                ],
+            }
+        })
+        .collect()
+}
+
+/// Names in `dir` ending in `.tmp`.
+fn tmp_files(dir: &Path) -> Vec<String> {
+    files(dir)
+        .into_keys()
+        .filter(|name| name.ends_with(".tmp"))
+        .collect()
+}
+
+/// The vault directory moves away while the day in flight is still being
+/// encoded: its commit fails with a typed `Io` error, and the vault — in
+/// memory and reopened where it went — holds exactly the days committed
+/// before, each intact.
+#[test]
+fn vault_moved_away_mid_stream_fails_typed_and_keeps_committed_days() {
+    let days = chain_days(12);
+    let (tmp, aside) = (TempDir::new("moved"), TempDir::new("aside"));
+    let mut vault = SnapshotVault::create(&tmp.0).expect("create vault");
+    let mut errors = Vec::new();
+    {
+        let mut writer = StreamingVaultWriter::new(&mut vault, 2, 3);
+        for (day, events) in days.iter().enumerate() {
+            if day == 7 {
+                // Grid days 0, 2 and 4 are committed; day 6 is in flight.
+                std::fs::rename(&tmp.0, &aside.0).expect("move the vault away");
+            }
+            errors.extend(writer.apply_day(events).err());
+        }
+        errors.extend(writer.finish().err());
+    }
+    match errors.first() {
+        Some(StoreError::Io(_)) => {}
+        other => panic!("expected a typed Io error first, got {other:?}"),
+    }
+    assert_eq!(vault.days().collect::<Vec<_>>(), vec![0, 2, 4]);
+    assert!(!tmp.0.exists(), "nothing recreated the moved directory");
+    let reopened = SnapshotVault::open(&aside.0).expect("reopen the moved vault");
+    assert_eq!(reopened.days().collect::<Vec<_>>(), vec![0, 2, 4]);
+    assert!(tmp_files(&aside.0).is_empty());
+    let mut freezer = DeltaFreezer::new();
+    for (day, events) in days.iter().enumerate().take(5) {
+        freezer.apply_day(events);
+        if day % 2 == 0 {
+            let loaded = reopened.load_day(day as u32).expect("load committed day");
+            assert_eq!(*loaded, *freezer.snapshot(), "day {day}");
+        }
+    }
+}
+
+/// Dropping a writer without `finish` joins its worker (which releases
+/// every snapshot it held) and publishes nothing beyond the days already
+/// committed: not the grid day in flight, not the trailing off-grid day.
+#[test]
+fn dropping_a_writer_joins_the_worker_and_publishes_nothing_more() {
+    let days = chain_days(10);
+    let tmp = TempDir::new("dropped");
+    let mut vault = SnapshotVault::create(&tmp.0).expect("create vault");
+    let held = {
+        let mut writer = StreamingVaultWriter::new(&mut vault, 2, 3);
+        for events in &days {
+            writer.apply_day(events).expect("apply day");
+        }
+        // Waits for grid day 8 without committing it.
+        writer.snapshot()
+    };
+    assert_eq!(Arc::strong_count(&held), 1, "the joined worker let go");
+    assert_eq!(held.num_social_nodes(), 11);
+    assert_eq!(vault.days().collect::<Vec<_>>(), vec![0, 2, 4, 6]);
+    assert!(!vault.day_path(8).exists() && !vault.day_path(9).exists());
+    assert!(tmp_files(&tmp.0).is_empty());
+    let reopened = SnapshotVault::open(&tmp.0).expect("reopen vault");
+    assert_eq!(reopened.days().collect::<Vec<_>>(), vec![0, 2, 4, 6]);
+}
+
+/// A worker panic resumes, with its original payload, at the first call
+/// that waits for the worker — whichever it is.
+#[test]
+fn worker_panic_resumes_at_the_next_waiting_call() {
+    type Call = fn(&mut Option<StreamingVaultWriter<'_>>);
+    let calls: [(&str, Call); 4] = [
+        ("apply_day", |w| {
+            if let Some(w) = w {
+                let _ = w.apply_day(&[]); // day 3, off the grid: no wait
+                let _ = w.apply_day(&[]); // day 4 waits for day 2
+            }
+        }),
+        ("snapshot", |w| {
+            if let Some(w) = w {
+                w.snapshot();
+            }
+        }),
+        ("v1_equivalent_bytes", |w| {
+            if let Some(w) = w {
+                w.v1_equivalent_bytes();
+            }
+        }),
+        ("finish", |w| {
+            if let Some(w) = w.take() {
+                let _ = w.finish();
+            }
+        }),
+    ];
+    for (name, call) in calls {
+        let tmp = TempDir::new("resume");
+        let mut vault = SnapshotVault::create(&tmp.0).expect("create vault");
+        let mut writer = Some(StreamingVaultWriter::new(&mut vault, 2, 3));
+        if let Some(w) = writer.as_mut() {
+            w.apply_day(&chain_days(1)[0]).expect("day 0");
+            // Day 1 is off the grid: buffered, not yet patched.
+            let bad = SanEvent::SocialLink {
+                day: 1,
+                src: SocialId(0),
+                dst: SocialId(7),
+            };
+            w.apply_day(&[bad]).expect("an off-grid day only buffers");
+            // Grid day 2 sends the bad batch and commits day 0.
+            w.apply_day(&[]).expect("day 2 only hands its batch over");
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&mut writer)));
+        let message = outcome.expect_err("the worker panic must resume");
+        let text = message
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| message.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(text.contains("unknown destination"), "{name}: {text}");
+        drop(writer);
+        assert_eq!(vault.days().collect::<Vec<_>>(), vec![0], "{name}");
+    }
 }

@@ -195,9 +195,10 @@ impl GooglePlus {
     /// memory: each day's events stream into a
     /// [`StreamingVaultWriter`] persisting every `step`-th day (plus the
     /// final day) as SANCSRBF v2, with at most `full_every - 1`
-    /// consecutive delta days between full days. At no point are more
-    /// than two snapshots resident. Returns the final ground-truth
-    /// network and the persisted days.
+    /// consecutive delta days between full days. Generation goes on while
+    /// the writer's worker thread patches and encodes each persisted day.
+    /// At no point are more than two snapshots resident. Returns the final
+    /// ground-truth network and the persisted days.
     ///
     /// # Panics
     /// Panics if `step == 0` or `full_every` is outside
