@@ -400,7 +400,7 @@ fn bench_vault_io(c: &mut Criterion) {
 // ---------------------------------------------------------------------------
 // The serving layer on the 10k-node/98-day fixture: mmap cold-open
 // (mmap + full validation) vs a SnapshotServer cache hit (Arc clone) vs
-// the eager read_from load; a full exact-clustering sweep over the mapped
+// the eager load_day; a full exact-clustering sweep over the mapped
 // view vs the owned CsrSan (the zero-copy read path must stay within
 // ~1.3× of owned — in practice it is identical code over identical
 // layouts); and a mixed-day query stream of `get` + `san_net::execute`

@@ -209,7 +209,7 @@ impl CsrSan {
     /// individual arrays so a future field can't silently go unmetered.
     ///
     /// The store path keeps this audit exact:
-    /// [`CsrSan::read_from`](crate::store) loads each column into an
+    /// [`CsrSan::from_store_bytes`] copies each column into an
     /// exactly-sized allocation and retains no staging buffers, so a
     /// snapshot loaded from disk reports the same `heap_bytes` as the one
     /// that was written (the audit test round-trips through the store to

@@ -56,8 +56,9 @@
 //!   `map_shards`/`fold_shards` drivers, so one frozen day can saturate
 //!   every core (intra-snapshot parallelism),
 //! * [`store`] — the columnar binary snapshot store: `CsrSan::write_to` /
-//!   `read_from` (versioned header, little-endian columns, checksum; v2
-//!   adds frame-of-reference + varint column compression and delta-encoded
+//!   `from_store_bytes` (versioned header, little-endian columns,
+//!   checksum, one v1 validator shared with [`view::CsrSanView`]; v2 adds
+//!   frame-of-reference + varint column compression and delta-encoded
 //!   day files) and [`store::SnapshotVault`] directories of persisted
 //!   days, so sweeps can warm-start from disk
 //!   ([`evolve::SanTimeline::resume_from_vault`]) instead of replaying the

@@ -39,10 +39,12 @@
 //!   replaces the directory entry while the mapped *inode* (and its
 //!   pages) live on until the last mapping is dropped. Mapping files that
 //!   other software mutates in place is outside the contract.
-//! * **Validation** — the full [`CsrSanView::new`] validation (the
-//!   [`CsrSan::read_from`](crate::CsrSan::read_from) corruption matrix)
-//!   runs against the mapped bytes before `open` returns, so a served
-//!   view never reinterprets unvalidated bytes.
+//! * **Validation** — the full [`CsrSanView::new`] validation (the one
+//!   v1 validator, which the eager
+//!   [`CsrSan::from_store_bytes`](crate::CsrSan::from_store_bytes) runs
+//!   too, pinned by the `store_corruption` matrix) runs against the
+//!   mapped bytes before `open` returns, so a served view never
+//!   reinterprets unvalidated bytes.
 
 #![cfg(unix)]
 

@@ -46,11 +46,15 @@
 //!
 //! ## Validation
 //!
-//! [`CsrSan::read_from`] never panics on untrusted bytes and never returns
-//! a structurally inconsistent graph. Every failure is a typed
-//! [`StoreError`]:
+//! One validator checks v1 bytes: [`CsrSanView::new`], which every read
+//! path runs — the eager [`CsrSan::from_store_bytes`] (and the vault's
+//! [`SnapshotVault::load_day`], which reads the day file and hands it
+//! over) before copying the columns out, the zero-copy view and the
+//! mapped open before serving them in place. It never panics on untrusted
+//! bytes and never returns a structurally inconsistent graph. Every
+//! failure is a typed [`StoreError`]:
 //!
-//! * short stream anywhere → [`StoreError::Truncated`],
+//! * short buffer anywhere → [`StoreError::Truncated`],
 //! * wrong magic / unknown version → [`StoreError::BadMagic`] /
 //!   [`StoreError::UnsupportedVersion`],
 //! * descriptors that do not tile the payload region exactly →
@@ -68,14 +72,15 @@
 //! Header-level checks (magic, version, descriptor tiling, cross-array
 //! counts — including a hard cap of `u32::MAX` elements per array, which
 //! no valid snapshot can exceed since CSR offsets are `u32`) run before
-//! any payload is allocated, and payload reservations trust a declared
-//! count only up to a fixed bound before the stream has delivered the
-//! bytes — so a crafted header can neither panic the reader nor reserve
-//! memory the file does not contain. The offset-table and id-range
-//! validators run after the checksum has vouched for the bytes,
-//! so random corruption surfaces as [`StoreError::BadChecksum`] while a
-//! deliberately re-sealed file still cannot smuggle in a non-monotone
-//! table or a dangling id.
+//! any column is sliced or copied, and nothing is ever allocated from a
+//! header count: the eager buffer holds only the bytes that were
+//! delivered, and the owned columns are copied out of it only after
+//! every check has passed — so a crafted header can neither panic the
+//! reader nor reserve memory the file does not contain. The offset-table
+//! and id-range validators run after the checksum has vouched for the
+//! bytes, so random corruption surfaces as [`StoreError::BadChecksum`]
+//! while a deliberately re-sealed file still cannot smuggle in a
+//! non-monotone table or a dangling id.
 //!
 //! # Vaults
 //!
@@ -206,7 +211,7 @@ use crate::meter::VaultMetrics;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::mem;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -318,9 +323,9 @@ impl Fnv1a {
 /// a panic: untrusted bytes always come back as one of these.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The stream ended before the named section was complete.
+    /// The bytes ended before the named section was complete.
     Truncated {
-        /// Which section was being read when the stream ran dry.
+        /// The first section the bytes cannot hold.
         section: &'static str,
     },
     /// The first eight bytes are not [`MAGIC`].
@@ -406,7 +411,7 @@ pub enum StoreError {
         base_day: u32,
     },
     /// A byte buffer handed to the zero-copy view path
-    /// ([`CsrSanView::new`](crate::view::CsrSanView::new)) whose base
+    /// ([`CsrSanView::new`]) whose base
     /// address is not aligned for in-place `u32` column views. Mapped
     /// files are always page-aligned; heap buffers can use
     /// [`AlignedBytes`].
@@ -564,22 +569,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// `read_exact` that reports a short stream as [`StoreError::Truncated`]
-/// with the section being read, instead of a bare I/O error.
-fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    section: &'static str,
-) -> Result<(), StoreError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated { section }
-        } else {
-            StoreError::Io(e)
-        }
-    })
-}
-
 /// A writer that feeds every byte through the running FNV-1a hash on its
 /// way out — so `write_to` seals the stream without buffering the file.
 struct HashingWriter<'a, W: Write> {
@@ -632,10 +621,9 @@ pub(crate) fn array_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
     out
 }
 
-/// Bounded staging buffer for LE encode/decode: arrays stream through this
-/// many bytes at a time, so (de)serialisation never allocates proportional
-/// to the snapshot — the only heap the store path touches is the final
-/// `CsrSan` arrays themselves (see [`CsrSan::heap_bytes`]).
+/// Bounded staging buffer for the v1 encode: arrays stream through this
+/// many bytes at a time, so [`CsrSan::write_to`] never allocates
+/// proportional to the snapshot.
 const STAGE_BYTES: usize = 16 * 1024;
 
 /// Writes a column of 4-byte elements as little-endian through the
@@ -658,48 +646,6 @@ fn write_col<W: Write, T: Copy>(
     }
     Ok(())
 }
-
-/// Reads a column of `count` little-endian 4-byte elements into an
-/// exactly-sized `Vec<T>`, feeding the hash as it goes; `from_u32` lifts
-/// the wire form to the element type, so no intermediate `Vec<u32>` is
-/// ever staged.
-fn read_col<T>(
-    r: &mut impl Read,
-    hash: &mut Fnv1a,
-    count: usize,
-    section: &'static str,
-    from_u32: impl Fn(u32) -> T,
-) -> Result<Vec<T>, StoreError> {
-    // Trust the header count only up to a bound: above it the Vec starts
-    // small and grows as bytes actually arrive, so a crafted count cannot
-    // reserve memory the stream never delivers (a truncated stream fails
-    // fast in read_exact instead). Honest oversize columns pay a final
-    // shrink to restore the exact-capacity guarantee.
-    let mut out: Vec<T> = Vec::with_capacity(count.min(HEADER_TRUST_ELEMS));
-    let mut stage = [0u8; STAGE_BYTES];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(STAGE_BYTES / 4);
-        let bytes = &mut stage[..take * 4];
-        read_exact_or(r, bytes, section)?;
-        hash.update(bytes);
-        for i in 0..take {
-            // BOUNDS: bytes was sliced to exactly take*4 above and
-            // i < take, so i*4 + 4 <= len whatever the stream contained.
-            out.push(from_u32(u32::from_le_bytes(array_at(bytes, i * 4))));
-        }
-        remaining -= take;
-    }
-    if out.capacity() != out.len() {
-        out.shrink_to_fit();
-    }
-    Ok(out)
-}
-
-/// How many elements of a header-declared count are pre-reserved before
-/// any payload bytes prove the stream is that long (16 MiB of u32s).
-/// Larger columns grow incrementally and shrink to exact size at the end.
-const HEADER_TRUST_ELEMS: usize = 4 * 1024 * 1024;
 
 /// One parsed array descriptor from the header.
 #[derive(Debug, Clone, Copy)]
@@ -725,12 +671,11 @@ pub(crate) fn elem_bytes(i: usize) -> u64 {
 /// cap, descriptor tiling, cross-array row counts, link-counter
 /// agreement).
 ///
-/// This is the shared front half of both deserialisation paths:
-/// [`CsrSan::read_from`] parses it from the stream before allocating
-/// anything, and the zero-copy [`CsrSanView`](crate::view::CsrSanView)
-/// parses it from the buffer before building column views — so a header
-/// that the eager loader rejects is rejected by the view path with the
-/// same typed error, by construction.
+/// This is the front half of the one v1 validator: the [`CsrSanView`]
+/// constructor parses it from the buffer before building column views,
+/// and the eager [`CsrSan::from_store_bytes`] and the mapped open both go
+/// through that constructor — so every v1 read path rejects a header with
+/// the same typed error, by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreHeader {
     num_social_links: u64,
@@ -739,9 +684,8 @@ pub struct StoreHeader {
 }
 
 impl StoreHeader {
-    /// Parses and validates the fixed-size header. Every failure is the
-    /// same typed [`StoreError`] that [`CsrSan::read_from`] reports for
-    /// the same bytes; nothing is allocated.
+    /// Parses and validates the fixed-size header. Every failure is a
+    /// typed [`StoreError`]; nothing is allocated.
     pub fn parse(header: &[u8; HEADER_BYTES]) -> Result<StoreHeader, StoreError> {
         let magic: [u8; 8] = array_at(header, 0);
         if magic != MAGIC {
@@ -763,20 +707,9 @@ impl StoreHeader {
             d.offset = u64_at(28 + i * 16);
             d.count = u64_at(28 + i * 16 + 8);
         }
-        // CSR offsets are u32, so no valid snapshot holds an array longer
-        // than u32::MAX elements; reject absurd counts before anything is
-        // allocated — a crafted header must never drive
-        // `Vec::with_capacity` into a capacity panic or OOM abort.
-        for (i, d) in descs.iter().enumerate() {
-            if d.count > u64::from(u32::MAX) {
-                return Err(StoreError::CountMismatch {
-                    what: ARRAY_NAMES[i],
-                    expected: u64::from(u32::MAX),
-                    found: d.count,
-                });
-            }
-        }
-        // The arrays must tile the payload region exactly, in order.
+        // The arrays must tile the payload region exactly, in order. The
+        // arithmetic is checked, so an absurd count cannot wrap it; the
+        // per-array cap follows with the other count checks.
         let mut expected = HEADER_BYTES as u64;
         for i in 0..NUM_ARRAYS {
             if descs[i].offset != expected {
@@ -796,7 +729,8 @@ impl StoreHeader {
                     found: descs[i].count,
                 })?;
         }
-        // Cross-array count consistency, before any payload allocation.
+        // The u32::MAX cap per array (CSR offsets are u32, so no valid
+        // snapshot exceeds it) and cross-array count consistency.
         let counts: [u64; NUM_ARRAYS] = std::array::from_fn(|i| descs[i].count);
         check_count_relations(&counts, num_social_links, num_attr_links)?;
         Ok(StoreHeader {
@@ -1018,127 +952,6 @@ impl CsrSan {
         Ok(total)
     }
 
-    /// Deserialises a snapshot written by [`CsrSan::write_to`], validating
-    /// structure as the stream is consumed and the checksum at the end.
-    ///
-    /// Never panics on untrusted bytes and never returns a structurally
-    /// inconsistent graph; every failure is a typed [`StoreError`] (see
-    /// the module docs for the full validation list). Each column is read
-    /// into an exactly-sized allocation through a bounded stack staging
-    /// buffer; the only heap staging is the `m`-byte raw tag column held
-    /// until the checksum clears, and it is dropped before returning — so
-    /// the loaded snapshot's [`CsrSan::heap_bytes`] equals the original's
-    /// (no hidden capacity slack, no retained staging), which the
-    /// `read_from_allocates_exact_capacity` audit pins down.
-    pub fn read_from(r: &mut impl Read) -> Result<CsrSan, StoreError> {
-        // Peek magic + version, then dispatch: v1 streams column-by-column
-        // through the bounded stage buffer; v2 is block-compressed, so the
-        // remaining bytes are collected and decoded in place.
-        let mut prefix = [0u8; VERSION_PREFIX_BYTES];
-        read_exact_or(r, &mut prefix, "header")?;
-        let magic: [u8; 8] = array_at(&prefix, 0);
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic { found: magic });
-        }
-        match u32::from_le_bytes(array_at(&prefix, 8)) {
-            FORMAT_VERSION => {
-                let mut header = [0u8; HEADER_BYTES];
-                header[..VERSION_PREFIX_BYTES].copy_from_slice(&prefix);
-                read_exact_or(r, &mut header[VERSION_PREFIX_BYTES..], "header")?;
-                CsrSan::read_v1_body(r, &header)
-            }
-            FORMAT_VERSION_V2 => {
-                let mut full = prefix.to_vec();
-                r.read_to_end(&mut full).map_err(StoreError::Io)?;
-                read_v2(&full)
-            }
-            found => Err(StoreError::UnsupportedVersion { found }),
-        }
-    }
-
-    /// The v1 payload path: `header` is the complete 204-byte header
-    /// (already known to carry the v1 magic + version); the reader is
-    /// positioned at the first payload byte.
-    fn read_v1_body(r: &mut impl Read, header: &[u8; HEADER_BYTES]) -> Result<CsrSan, StoreError> {
-        // Every header-level check (magic/version, element caps, tiling,
-        // cross-array counts) lives in the shared parser, so the eager
-        // loader and the zero-copy view reject the same headers with the
-        // same typed errors.
-        let parsed = StoreHeader::parse(header)?;
-        let num_social_links = parsed.num_social_links();
-        let num_attr_links = parsed.num_attr_links();
-        let rows = parsed.array_count(0);
-        let mut hash = Fnv1a::new();
-        hash.update(header);
-        let count = |i: usize| parsed.array_count(i) as usize;
-        let out_off = read_col(r, &mut hash, count(0), ARRAY_NAMES[0], |v| v)?;
-        let out_dst = read_col(r, &mut hash, count(1), ARRAY_NAMES[1], SocialId)?;
-        let in_off = read_col(r, &mut hash, count(2), ARRAY_NAMES[2], |v| v)?;
-        let in_src = read_col(r, &mut hash, count(3), ARRAY_NAMES[3], SocialId)?;
-        let ua_off = read_col(r, &mut hash, count(4), ARRAY_NAMES[4], |v| v)?;
-        let ua_attr = read_col(r, &mut hash, count(5), ARRAY_NAMES[5], AttrId)?;
-        let am_off = read_col(r, &mut hash, count(6), ARRAY_NAMES[6], |v| v)?;
-        let am_user = read_col(r, &mut hash, count(7), ARRAY_NAMES[7], SocialId)?;
-        let und_off = read_col(r, &mut hash, count(8), ARRAY_NAMES[8], |v| v)?;
-        let und_nbr = read_col(r, &mut hash, count(9), ARRAY_NAMES[9], SocialId)?;
-        // Tags are staged raw and decoded only after the checksum has
-        // vouched for them, like every other semantic check. Same bounded
-        // trust in the header count as read_col.
-        let mut tag_bytes: Vec<u8> = Vec::with_capacity(count(10).min(HEADER_TRUST_ELEMS));
-        {
-            let mut stage = [0u8; STAGE_BYTES];
-            let mut remaining = count(10);
-            while remaining > 0 {
-                let take = remaining.min(STAGE_BYTES);
-                let bytes = &mut stage[..take];
-                read_exact_or(r, bytes, ARRAY_NAMES[10])?;
-                hash.update(bytes);
-                tag_bytes.extend_from_slice(bytes);
-                remaining -= take;
-            }
-        }
-        let mut trailer = [0u8; CHECKSUM_BYTES];
-        read_exact_or(r, &mut trailer, "checksum")?;
-        let found = u64::from_le_bytes(trailer);
-        let expected = hash.finish();
-        if expected != found {
-            return Err(StoreError::BadChecksum { expected, found });
-        }
-        // Semantic validation after the checksum has vouched for the
-        // bytes: tag decoding, offset-table shape, then id ranges.
-        let mut attr_types: Vec<AttrType> = Vec::with_capacity(tag_bytes.len());
-        for b in tag_bytes {
-            attr_types.push(attr_type_from_tag(b)?);
-        }
-        check_offsets(&out_off, out_dst.len(), ARRAY_NAMES[0])?;
-        check_offsets(&in_off, in_src.len(), ARRAY_NAMES[2])?;
-        check_offsets(&ua_off, ua_attr.len(), ARRAY_NAMES[4])?;
-        check_offsets(&am_off, am_user.len(), ARRAY_NAMES[6])?;
-        check_offsets(&und_off, und_nbr.len(), ARRAY_NAMES[8])?;
-        let n = rows as usize - 1;
-        let m = count(6) - 1;
-        check_id_range(&out_dst, n, ARRAY_NAMES[1], |v| v.0)?;
-        check_id_range(&in_src, n, ARRAY_NAMES[3], |v| v.0)?;
-        check_id_range(&ua_attr, m, ARRAY_NAMES[5], |v| v.0)?;
-        check_id_range(&am_user, n, ARRAY_NAMES[7], |v| v.0)?;
-        check_id_range(&und_nbr, n, ARRAY_NAMES[9], |v| v.0)?;
-        Ok(CsrSan {
-            out_off,
-            out_dst,
-            in_off,
-            in_src,
-            ua_off,
-            ua_attr,
-            am_off,
-            am_user,
-            und_off,
-            und_nbr,
-            attr_types,
-            num_social_links: num_social_links as usize,
-            num_attr_links: num_attr_links as usize,
-        })
-    }
-
     /// Serialises into a fresh byte vector (convenience over
     /// [`CsrSan::write_to`]).
     pub fn to_store_bytes(&self) -> Vec<u8> {
@@ -1150,10 +963,38 @@ impl CsrSan {
         buf
     }
 
-    /// Deserialises from a byte slice (convenience over
-    /// [`CsrSan::read_from`]).
-    pub fn from_store_bytes(mut bytes: &[u8]) -> Result<CsrSan, StoreError> {
-        CsrSan::read_from(&mut bytes)
+    /// Deserialises a snapshot of either format version from a byte slice:
+    /// the one eager entry point.
+    ///
+    /// Never panics on untrusted bytes and never returns a structurally
+    /// inconsistent graph; every failure is a typed [`StoreError`] (see
+    /// the module docs for the full validation list). The magic and
+    /// version word are checked first. A v1 buffer is then validated by
+    /// [`CsrSanView::new`] — the checks every zero-copy and mapped open
+    /// runs — and copied out by [`CsrSanView::to_owned_csr`]; a buffer
+    /// whose base is not 4-byte aligned is first copied into an
+    /// [`AlignedBytes`]. A v2 full day is decoded column by column, and a
+    /// standalone v2 delta day reports [`StoreError::DeltaWithoutBase`].
+    /// Either way every column lands in an exactly-sized allocation, so the
+    /// loaded snapshot's [`CsrSan::heap_bytes`] equals the original's (no
+    /// hidden capacity slack), which the
+    /// `read_from_allocates_exact_capacity` audit pins down.
+    pub fn from_store_bytes(bytes: &[u8]) -> Result<CsrSan, StoreError> {
+        let Some(prefix) = bytes.get(..VERSION_PREFIX_BYTES) else {
+            return Err(StoreError::Truncated { section: "header" });
+        };
+        let magic: [u8; 8] = array_at(prefix, 0);
+        if magic != MAGIC {
+            return Err(StoreError::BadMagic { found: magic });
+        }
+        match u32::from_le_bytes(array_at(prefix, 8)) {
+            FORMAT_VERSION if (bytes.as_ptr() as usize).is_multiple_of(COLUMN_ALIGN) => {
+                Ok(CsrSanView::new(bytes)?.to_owned_csr())
+            }
+            FORMAT_VERSION => CsrSan::from_store_bytes(&AlignedBytes::from_bytes(bytes)),
+            FORMAT_VERSION_V2 => read_v2_full(bytes),
+            found => Err(StoreError::UnsupportedVersion { found }),
+        }
     }
 
     /// Serialised size in bytes, without writing anything.
@@ -1245,33 +1086,7 @@ impl CsrSan {
 // ---------------------------------------------------------------------------
 
 use crate::codec;
-use crate::view::AlignedBytes;
-
-/// The kind byte of a v2 buffer (byte 12, right after magic + version).
-pub(crate) fn v2_kind(bytes: &[u8]) -> Result<u8, StoreError> {
-    bytes
-        .get(VERSION_PREFIX_BYTES)
-        .copied()
-        .ok_or(StoreError::Truncated {
-            section: "v2 header",
-        })
-}
-
-/// Reads a complete v2 byte buffer of either kind into an owned snapshot.
-/// A standalone delta day cannot be materialised — only its vault knows
-/// the chain — so it reports [`StoreError::DeltaWithoutBase`].
-fn read_v2(bytes: &[u8]) -> Result<CsrSan, StoreError> {
-    match v2_kind(bytes)? {
-        V2_KIND_FULL => read_v2_full(bytes),
-        V2_KIND_DELTA => Err(StoreError::DeltaWithoutBase {
-            base_day: peek_delta_base_day(bytes)?,
-        }),
-        _ => Err(StoreError::BadCodec {
-            array: "header",
-            reason: "unknown v2 kind byte",
-        }),
-    }
-}
+use crate::view::{AlignedBytes, CsrSanView, COLUMN_ALIGN};
 
 /// The parsed, validated header of a v2 full day — the compressed
 /// counterpart of [`StoreHeader`]. Counts get the same cross-array checks
@@ -1290,7 +1105,30 @@ pub(crate) struct V2FullHeader {
 }
 
 impl V2FullHeader {
+    /// Parses the header of a v2 buffer that must be a full day. The kind
+    /// byte (byte 12) is checked first: a standalone delta day cannot be
+    /// materialised — only its vault knows the chain — so it reports
+    /// [`StoreError::DeltaWithoutBase`], however short it is.
     fn parse(bytes: &[u8]) -> Result<V2FullHeader, StoreError> {
+        match bytes.get(VERSION_PREFIX_BYTES) {
+            Some(&V2_KIND_FULL) => {}
+            Some(&V2_KIND_DELTA) => {
+                return Err(StoreError::DeltaWithoutBase {
+                    base_day: peek_delta_base_day(bytes)?,
+                })
+            }
+            Some(_) => {
+                return Err(StoreError::BadCodec {
+                    array: "header",
+                    reason: "unknown v2 kind byte",
+                })
+            }
+            None => {
+                return Err(StoreError::Truncated {
+                    section: "v2 header",
+                })
+            }
+        }
         let Some(header) = bytes.get(..V2_FULL_HEADER_BYTES) else {
             return Err(StoreError::Truncated {
                 section: "v2 header",
@@ -1303,12 +1141,6 @@ impl V2FullHeader {
         let version = u32::from_le_bytes(array_at(header, 8));
         if version != FORMAT_VERSION_V2 {
             return Err(StoreError::UnsupportedVersion { found: version });
-        }
-        if header.get(VERSION_PREFIX_BYTES).copied() != Some(V2_KIND_FULL) {
-            return Err(StoreError::BadCodec {
-                array: "header",
-                reason: "not a v2 full day",
-            });
         }
         let u64_at = |i: usize| u64::from_le_bytes(array_at(header, i));
         let num_social_links = u64_at(16);
@@ -1417,9 +1249,9 @@ fn decode_col_vec<T>(
     Ok(out)
 }
 
-/// The eager v2 full-day loader: header checks, checksum, per-column
-/// decode, then exactly the v1 semantic validation (tags, offset shape,
-/// id ranges).
+/// The eager v2 full-day loader: header checks (a delta day reports
+/// [`StoreError::DeltaWithoutBase`]), checksum, per-column decode, then
+/// exactly the v1 semantic validation (tags, offset shape, id ranges).
 fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
     let hdr = V2FullHeader::parse(bytes)?;
     verify_v2_trailer(bytes, hdr.total_bytes)?;
@@ -1474,24 +1306,10 @@ fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
 /// the image itself plus O(1) scratch — no O(file) staging.
 ///
 /// The image is structurally complete but **not** semantically validated;
-/// callers run [`CsrSanView::new`](crate::view::CsrSanView::new) (or the
-/// eager loader) over it, reusing the entire v1 validation stack. A delta
-/// buffer reports [`StoreError::DeltaWithoutBase`].
+/// callers run [`CsrSanView::new`] over it, reusing the entire v1
+/// validation stack. A delta buffer reports
+/// [`StoreError::DeltaWithoutBase`].
 pub fn decode_v2_image(bytes: &[u8]) -> Result<AlignedBytes, StoreError> {
-    match v2_kind(bytes)? {
-        V2_KIND_FULL => {}
-        V2_KIND_DELTA => {
-            return Err(StoreError::DeltaWithoutBase {
-                base_day: peek_delta_base_day(bytes)?,
-            })
-        }
-        _ => {
-            return Err(StoreError::BadCodec {
-                array: "header",
-                reason: "unknown v2 kind byte",
-            })
-        }
-    }
     let hdr = V2FullHeader::parse(bytes)?;
     verify_v2_trailer(bytes, hdr.total_bytes)?;
     // The v1 layout the image will carry. Counts are capped at u32::MAX
@@ -1578,8 +1396,8 @@ pub(crate) struct DeltaDay {
 
 /// A base snapshot's columns, borrowed: what [`DeltaDay::apply_to`]
 /// reads, so a delta patches an owned [`CsrSan`] (the chain replay) and a
-/// resident [`CsrSanView`](crate::view::CsrSanView) (a served base day)
-/// alike without copying either.
+/// resident [`CsrSanView`] (a served base day) alike without copying
+/// either.
 #[derive(Clone, Copy)]
 pub(crate) struct BaseColumns<'a> {
     pub(crate) out_off: &'a [u32],
@@ -2508,16 +2326,19 @@ impl SnapshotVault {
         let Some(&entry) = self.days.get(&day) else {
             return Err(StoreError::DayNotPersisted { day });
         };
+        let started = Instant::now();
         match entry.format {
             DayFormat::V1Full | DayFormat::V2Full => {
-                let started = Instant::now();
-                let file = fs::File::open(self.day_path(day))?;
-                let mut r = BufReader::new(file);
-                let snap = CsrSan::read_from(&mut r)?;
+                let snap = CsrSan::from_store_bytes(&fs::read(self.day_path(day))?)?;
                 self.metrics.record_read(entry.bytes, started.elapsed());
                 Ok(Arc::new(snap))
             }
-            DayFormat::V2Delta { .. } => self.load_delta_chain(day),
+            DayFormat::V2Delta { .. } => {
+                let (snap, bytes, links) = self.replay_delta_chain(day)?;
+                self.metrics.record_read(bytes, started.elapsed());
+                self.metrics.record_chain(links);
+                Ok(Arc::new(snap))
+            }
         }
     }
 
@@ -2565,25 +2386,21 @@ impl SnapshotVault {
 
     /// Reconstructs a delta day standalone: eager-load its full ancestor,
     /// then apply the chain's deltas oldest → newest, one merge per link.
-    /// Metered as one read of the chain's combined bytes, plus the chain
-    /// counters ([`VaultMetrics::record_chain`]). A caller that already
-    /// holds the base day resident opens the day with one merge instead
-    /// ([`map_delta_onto`](SnapshotVault::map_delta_onto)).
-    fn load_delta_chain(&self, day: u32) -> Result<Arc<CsrSan>, StoreError> {
-        let started = Instant::now();
+    /// Returns the snapshot with the chain's combined bytes and its link
+    /// count, which the caller meters as one read plus the chain counters
+    /// ([`VaultMetrics::record_chain`]) once its open is complete. A
+    /// caller that already holds the base day resident opens the day with
+    /// one merge instead ([`map_delta_onto`](SnapshotVault::map_delta_onto)).
+    fn replay_delta_chain(&self, day: u32) -> Result<(CsrSan, u64, u64), StoreError> {
         let (full_day, chain) = self.chain_for(day)?;
         let mut total_bytes = self.days.get(&full_day).map_or(0, |e| e.bytes);
-        let file = fs::File::open(self.day_path(full_day))?;
-        let mut r = BufReader::new(file);
-        let mut cur = CsrSan::read_from(&mut r)?;
+        let mut cur = CsrSan::from_store_bytes(&fs::read(self.day_path(full_day))?)?;
         for &d in chain.iter().rev() {
             let (delta, bytes) = self.read_delta(d)?;
             total_bytes += bytes;
             cur = delta.apply_to((&cur).into())?;
         }
-        self.metrics.record_read(total_bytes, started.elapsed());
-        self.metrics.record_chain(chain.len() as u64);
-        Ok(Arc::new(cur))
+        Ok((cur, total_bytes, chain.len() as u64))
     }
 
     /// Reads and decodes delta day `d`'s file, returning it with its byte
@@ -2665,10 +2482,10 @@ impl SnapshotVault {
     /// column — the zero-copy counterpart of
     /// [`load_day`](SnapshotVault::load_day). The returned
     /// [`MappedSnapshot`](crate::mmap::MappedSnapshot) hands out
-    /// [`CsrSanView`](crate::view::CsrSanView)s that read the file's pages
-    /// in place and is `Send + Sync`, so one mapping can serve many
-    /// threads. Metered as a read of the file's full validated length
-    /// (the validation pass touches every byte).
+    /// [`CsrSanView`]s that read the file's pages in place and is
+    /// `Send + Sync`, so one mapping can serve many threads. Metered as a
+    /// read of the file's full validated length (the validation pass
+    /// touches every byte).
     #[cfg(unix)]
     pub fn map_day(&self, day: u32) -> Result<crate::mmap::MappedSnapshot, StoreError> {
         let Some(&entry) = self.days.get(&day) else {
@@ -2683,10 +2500,15 @@ impl SnapshotVault {
             }
             DayFormat::V2Delta { .. } => {
                 // A delta day has no standalone on-disk image to map; the
-                // chain is reconstructed (metered inside) and served from
-                // an owned, v1-layout buffer behind the same handle type.
-                let snap = self.load_delta_chain(day)?;
-                crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))
+                // chain is reconstructed and served from an owned,
+                // v1-layout buffer behind the same handle type. Metered
+                // once that image is validated, like map_delta_onto.
+                let started = Instant::now();
+                let (snap, bytes, links) = self.replay_delta_chain(day)?;
+                let mapped = crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))?;
+                self.metrics.record_read(bytes, started.elapsed());
+                self.metrics.record_chain(links);
+                Ok(mapped)
             }
         }
     }
@@ -3093,7 +2915,7 @@ mod tests {
         assert_eq!(back, csr);
     }
 
-    /// `read_from` allocates each column exactly: no capacity slack, so
+    /// The eager load allocates each column exactly: no capacity slack, so
     /// the loaded snapshot's heap accounting equals the original's and
     /// `heap_bytes` stays an exact per-array audit across the store path.
     #[test]
@@ -3286,6 +3108,37 @@ mod tests {
         // A failed load (unpersisted day) meters nothing.
         assert!(vault.load_day(5).is_err());
         assert_eq!(vault.metrics().reads(), if cfg!(unix) { 4 } else { 3 });
+
+        // Delta days: every open adds exactly one read of the bytes it
+        // read and the links it applied. Vault days 10..=12 hold timeline
+        // days 0..=2: a v2 full day, then two deltas chained onto it.
+        let tl = grown_timeline();
+        let snaps: Vec<CsrSan> = (0..=2).map(|d| tl.snapshot_csr(d)).collect();
+        let full = vault.save_day_v2(10, &snaps[0]).unwrap();
+        let delta11 = vault.save_day_delta(11, 10, &snaps[0], &snaps[1]).unwrap();
+        let delta12 = vault.save_day_delta(12, 11, &snaps[1], &snaps[2]).unwrap();
+        let meters = || {
+            let m = vault.metrics();
+            assert_eq!(m.read_latency().count(), m.reads());
+            (m.reads(), m.read_bytes(), m.delta_links_applied())
+        };
+        let expect_one_read = |(reads, read_bytes, applied), bytes, links| {
+            assert_eq!(meters(), (reads + 1, read_bytes + bytes, applied + links));
+        };
+        let before = meters();
+        assert_eq!(*vault.load_day(12).unwrap(), snaps[2]);
+        expect_one_read(before, full + delta11 + delta12, 2);
+        #[cfg(unix)]
+        {
+            let before = meters();
+            assert_eq!(vault.map_day(12).unwrap().view().to_owned_csr(), snaps[2]);
+            expect_one_read(before, full + delta11 + delta12, 2);
+            let base = vault.map_day(11).unwrap();
+            let before = meters();
+            let mapped = vault.map_delta_onto(12, &base).unwrap();
+            assert_eq!(mapped.view().to_owned_csr(), snaps[2]);
+            expect_one_read(before, delta12, 1);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -3314,15 +3167,27 @@ mod tests {
         tb.finish().0
     }
 
+    /// A delta chain replays onto its full root whichever format the root
+    /// landed in: v1 (validated by the view, then copied out) or v2.
     #[test]
     fn vault_v2_full_and_delta_days_roundtrip() {
+        for root in [DayFormat::V1Full, DayFormat::V2Full] {
+            full_and_delta_days_roundtrip(root);
+        }
+    }
+
+    fn full_and_delta_days_roundtrip(root: DayFormat) {
         let tl = grown_timeline();
         let snaps: Vec<CsrSan> = (0..=6).map(|d| tl.snapshot_csr(d)).collect();
-        let dir = std::env::temp_dir().join(format!("san-vault-v2-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("san-vault-v2-{root:?}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut vault = SnapshotVault::create(&dir).unwrap();
-        vault.save_day_v2(0, &snaps[0]).unwrap();
-        assert_eq!(vault.day_format(0), Some(DayFormat::V2Full));
+        match root {
+            DayFormat::V1Full => vault.save_day(0, &snaps[0]).unwrap(),
+            _ => vault.save_day_v2(0, &snaps[0]).unwrap(),
+        };
+        assert_eq!(vault.day_format(0), Some(root));
         for day in 1..=3u32 {
             vault
                 .save_day_delta(day, day - 1, &snaps[day as usize - 1], &snaps[day as usize])

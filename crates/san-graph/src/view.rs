@@ -1,16 +1,16 @@
 //! [`CsrSanView`]: a borrowed, zero-copy [`SanRead`] over the raw bytes of
 //! a `SANCSRBF` snapshot — no column is ever deserialised.
 //!
-//! [`CsrSan::read_from`](crate::store) materialises every column into an
-//! owned `Vec`; this module reads the same bytes **in place**. The
-//! columnar format was designed for it: every descriptor in the header
-//! carries the column's absolute byte offset, all ten `u32` columns are
-//! little-endian and 4-byte aligned relative to the file start, and the
-//! single `u8` tag column comes last — so once the buffer has been
-//! validated (header + checksum + structure, exactly the checks
-//! [`CsrSan::read_from`] performs, shared through
-//! [`StoreHeader`] and the store's semantic
-//! validators), a view is eleven borrowed slices and two counters: O(1)
+//! This module reads the bytes **in place**, and it is the one v1
+//! validator: the eager [`CsrSan::from_store_bytes`] builds a view and
+//! copies its columns out ([`CsrSanView::to_owned_csr`]), and the mapped
+//! open builds one over the file's pages. The columnar format was designed
+//! for it: every descriptor in the header carries the column's absolute
+//! byte offset, all ten `u32` columns are little-endian and 4-byte
+//! aligned relative to the file start, and the single `u8` tag column
+//! comes last — so once the buffer has been validated (header through
+//! [`StoreHeader`], checksum, then the store's semantic validators), a
+//! view is eleven borrowed slices and two counters: O(1)
 //! space beyond the underlying buffer, zero heap allocations, and every
 //! [`SanRead`] query runs at the same speed as the owned
 //! [`CsrSan`] because both dispatch to identical
@@ -116,14 +116,16 @@ impl fmt::Debug for CsrSanView<'_> {
 impl<'a> CsrSanView<'a> {
     /// Validates a `SANCSRBF` buffer and builds a zero-copy view over it.
     ///
-    /// Performs the full [`CsrSan::read_from`](crate::store) validation —
-    /// header checks, per-column bounds, checksum, then the semantic
-    /// validators (attribute tags, offset-table monotonicity, id
-    /// ranges) — once; afterwards every accessor is an O(1) slice view.
-    /// Any bytes the eager loader rejects are rejected here with a typed
-    /// [`StoreError`] (never a panic, never UB); additionally the buffer
-    /// base must be 4-byte aligned ([`StoreError::Misaligned`]) — mapped
-    /// files always are, heap buffers can use [`AlignedBytes`].
+    /// Runs the full v1 validation — header checks, per-column bounds,
+    /// checksum, then the semantic validators (attribute tags,
+    /// offset-table monotonicity, id ranges) — once; afterwards every
+    /// accessor is an O(1) slice view. This is the only v1 validator: the
+    /// eager [`CsrSan::from_store_bytes`] and the mapped open run it too,
+    /// so every corrupt buffer comes back as the same typed
+    /// [`StoreError`] on every path (never a panic, never UB).
+    /// Additionally the buffer base must be 4-byte aligned
+    /// ([`StoreError::Misaligned`]) — mapped files always are, heap
+    /// buffers can use [`AlignedBytes`], as the eager loader does.
     pub fn new(bytes: &'a [u8]) -> Result<CsrSanView<'a>, StoreError> {
         Self::new_with_header(bytes).map(|(view, _)| view)
     }
@@ -143,8 +145,7 @@ impl<'a> CsrSanView<'a> {
         let header_bytes: [u8; HEADER_BYTES] = array_at(bytes, 0);
         let header = StoreHeader::parse(&header_bytes)?;
         // Column bounds before touching any payload, in file order, so a
-        // short buffer names the first section it cannot hold (matching
-        // the stream reader's truncation reporting).
+        // short buffer names the first section it cannot hold.
         for (i, &section) in ARRAY_NAMES.iter().enumerate() {
             let end = header.array_offset(i) + header.array_count(i) * elem_bytes(i);
             if (bytes.len() as u64) < end {
@@ -171,8 +172,8 @@ impl<'a> CsrSanView<'a> {
             });
         }
         let view = Self::from_trusted(bytes, &header);
-        // Semantic validation in the eager loader's order: tags, then
-        // offset-table shape, then id ranges.
+        // Semantic validation in the same order as the v2 loader: tags,
+        // then offset-table shape, then id ranges.
         for &tag in view.attr_tags {
             attr_type_from_tag(tag)?;
         }
@@ -254,12 +255,13 @@ impl<'a> CsrSanView<'a> {
         0
     }
 
-    /// Materialises the view into an owned [`CsrSan`] — the seed for
-    /// delta-patching forward from a mapped day
-    /// (a `SnapshotSource::Mapped` sweep of `san-metrics`'
-    /// `evolve_metric`). Each column is copied into an exactly-sized
-    /// allocation, so the result's [`CsrSan::heap_bytes`] matches a
-    /// [`CsrSan::read_from`] load of the same bytes.
+    /// Materialises the view into an owned [`CsrSan`] — the second half
+    /// of the eager [`CsrSan::from_store_bytes`] v1 load, and the seed for
+    /// delta-patching forward from a mapped day (a
+    /// `SnapshotSource::Mapped` sweep of `san-metrics`' `evolve_metric`).
+    /// Each column is copied into an exactly-sized allocation, so the
+    /// result's [`CsrSan::heap_bytes`] equals that of the snapshot the
+    /// bytes were written from.
     pub fn to_owned_csr(&self) -> CsrSan {
         CsrSan {
             out_off: self.out_off.to_vec(),

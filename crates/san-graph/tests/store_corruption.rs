@@ -6,11 +6,13 @@
 //! hand-corrupts structure behind a re-sealed checksum to isolate the
 //! structural validators from the checksum.
 //!
-//! Every crafted case is driven through **all three read paths** — the
-//! eager [`CsrSan::read_from`] stream loader, the zero-copy
-//! [`CsrSanView::new`] in-memory view, and [`MappedSnapshot::open`] over
-//! an actual file — and each must reject with a typed error (the same
-//! variant family; never UB, never a panic on any path).
+//! v1 bytes have one validator, [`CsrSanView::new`], and **two read
+//! paths** over it: in memory and [`MappedSnapshot::open`] over an actual
+//! file. Every crafted case is driven through both, and in memory through
+//! both entry points — the eager [`CsrSan::from_store_bytes`] (which
+//! checks magic and version itself and copies a misaligned buffer before
+//! validating) and the zero-copy view. Each must reject with a typed
+//! error (the same variant family; never UB, never a panic on any path).
 //!
 //! The second half of the file repeats the exercise for the SANCSRBF v2
 //! format: truncation at every compressed-column boundary, corrupt codec

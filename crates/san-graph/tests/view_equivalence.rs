@@ -139,7 +139,7 @@ proptest! {
             // Zero column allocations: the view owns no heap at all.
             prop_assert_eq!(view.heap_bytes(), 0, "day {}", day);
             // Materialising recovers the exact owned form (and exact
-            // heap accounting, like read_from).
+            // heap accounting, like CsrSan::from_store_bytes).
             let owned = view.to_owned_csr();
             prop_assert_eq!(&owned, &*snap, "day {}", day);
             prop_assert_eq!(owned.heap_bytes(), snap.heap_bytes(), "day {}", day);

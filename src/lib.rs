@@ -29,7 +29,7 @@
 //!
 //! Frozen snapshots also persist: [`graph::store`] is a columnar,
 //! versioned, checksummed binary format (`CsrSan::write_to` /
-//! `read_from`) plus [`graph::store::SnapshotVault`] directories of
+//! `from_store_bytes`) plus [`graph::store::SnapshotVault`] directories of
 //! persisted days, so evolution sweeps warm-start from disk
 //! (`SanTimeline::resume_from_vault`, a `SnapshotSource::Vault` sweep of
 //! `evolve_metric` in [`metrics`]) instead of replaying the event log
