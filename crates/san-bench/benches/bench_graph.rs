@@ -399,12 +399,14 @@ fn bench_vault_io(c: &mut Criterion) {
 
 // ---------------------------------------------------------------------------
 // The serving layer on the 10k-node/98-day fixture: mmap cold-open
-// (mmap + full validation) vs a SnapshotServer cache hit (Arc clone) vs
-// the eager load_day; a full exact-clustering sweep over the mapped
-// view vs the owned CsrSan (the zero-copy read path must stay within
-// ~1.3× of owned — in practice it is identical code over identical
-// layouts); and a mixed-day query stream of `get` + `san_net::execute`
-// on four scoped threads. ROADMAP records the medians.
+// (mmap + full validation), the cold open of the same day as a v2 full
+// file and as a delta onto its resident base, a SnapshotServer cache
+// hit (Arc clone) and the eager load_day; a full exact-clustering sweep
+// over the mapped view vs the owned CsrSan (the zero-copy read path must
+// stay within ~1.3× of owned — in practice it is identical code over
+// identical layouts); and a mixed-day query stream of `get` +
+// `san_net::execute` on four scoped threads. ROADMAP records the
+// medians.
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
@@ -523,9 +525,42 @@ fn bench_mmap_serve(c: &mut Criterion) {
         );
         assert_eq!(total_maps, total_iters, "one map per herd");
     });
+    // The v2 opens: the final day as a v2 full file, and as a delta onto
+    // its previous grid day held resident, as a serving cache holds it.
+    // Set up last, so the rows above run in the same process state as
+    // before these two existed.
+    let v2_dir = dir.with_extension("v2");
+    let _ = std::fs::remove_dir_all(&v2_dir);
+    let mut v2_vault = SnapshotVault::create(&v2_dir).expect("create v2 bench vault");
+    let base_day = final_day - 7;
+    let base = tl.snapshot_csr(base_day);
+    v2_vault
+        .save_day_v2(base_day, &base)
+        .expect("persist v2 base");
+    v2_vault
+        .save_day_delta(final_day, base_day, &base, &owned)
+        .expect("persist delta day");
+    let resident_base = v2_vault.map_day(base_day).expect("map v2 base");
+    let final_v2_path = v2_dir.join("final-v2.csr");
+    std::fs::write(&final_v2_path, owned.to_store_bytes_v2()).expect("write v2 final day");
+    group.bench_function("cold_open_v2", |b| {
+        b.iter(|| {
+            let m = MappedSnapshot::open(&final_v2_path).expect("open v2");
+            black_box(m.mapped_bytes())
+        });
+    });
+    group.bench_function("delta_open_onto_base", |b| {
+        b.iter(|| {
+            let m = v2_vault
+                .map_delta_onto(final_day, &resident_base)
+                .expect("open delta onto base");
+            black_box(m.mapped_bytes())
+        });
+    });
     group.finish();
     drop(mapped);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&v2_dir);
 }
 
 /// The serving stack is mmap-backed and therefore unix-only; elsewhere

@@ -13,6 +13,10 @@
 //! every process that maps the same day, which is exactly the
 //! many-concurrent-readers shape of the Google+ measurement workload.
 //!
+//! Days that have no v1 bytes on disk — v2 full days and delta days —
+//! are served from an owned [`CsrSan`] behind the same handle: the view
+//! borrows the snapshot's own columns, so no v1 image is encoded for them.
+//!
 //! No external crates: the two syscalls are declared as `extern "C"`
 //! items directly (the same vendor-shim policy the workspace applies to
 //! everything the registry would normally provide).
@@ -23,9 +27,9 @@
 //! the construction of the `&[u8]` over the mapping. The invariants:
 //!
 //! * **Lifetime** — the byte slice over the mapping is only ever handed
-//!   out borrowed from the [`MappedSnapshot`] (`bytes()`, `view()`), so
-//!   borrows cannot outlive the mapping; `munmap` runs in `Drop`, after
-//!   every borrow is gone by construction.
+//!   out borrowed from the [`MappedSnapshot`] (`view()`), so borrows
+//!   cannot outlive the mapping; `munmap` runs in `Drop`, after every
+//!   borrow is gone by construction.
 //! * **Alignment** — `mmap` returns page-aligned addresses (≥ 4096), far
 //!   stricter than the 4-byte alignment the column views require.
 //! * **Immutability** — the mapping is `PROT_READ | MAP_PRIVATE`: nothing
@@ -39,25 +43,28 @@
 //!   replaces the directory entry while the mapped *inode* (and its
 //!   pages) live on until the last mapping is dropped. Mapping files that
 //!   other software mutates in place is outside the contract.
-//! * **Validation** — the full [`CsrSanView::new`] validation (the one
-//!   v1 validator, which the eager
-//!   [`CsrSan::from_store_bytes`](crate::CsrSan::from_store_bytes) runs
-//!   too, pinned by the `store_corruption` matrix) runs against the
-//!   mapped bytes before `open` returns, so a served view never
-//!   reinterprets unvalidated bytes.
+//! * **Validation** — a mapped v1 file passes the full
+//!   [`CsrSanView::new`] validation (the one v1 validator, which the eager
+//!   [`CsrSan::from_store_bytes`] runs too, pinned by the
+//!   `store_corruption` matrix) before `open` returns, so a served view
+//!   never reinterprets unvalidated bytes. An owned snapshot is valid by
+//!   construction: a v2 full file goes through the eager v2 loader
+//!   (checksum, tags, offsets, id ranges), and a delta day through the
+//!   delta checks before its merge. Its view is built from the columns in
+//!   safe code, with nothing left to re-check.
 
 #![cfg(unix)]
 
 use crate::csr::CsrSan;
 use crate::store::{
-    array_at, decode_v2_image, StoreError, StoreHeader, FORMAT_VERSION_V2, HEADER_BYTES, MAGIC,
-    VERSION_PREFIX_BYTES,
+    array_at, attr_type_tag, read_v2_full, StoreError, StoreHeader, FORMAT_VERSION_V2,
+    HEADER_BYTES, MAGIC, VERSION_PREFIX_BYTES,
 };
-use crate::view::{AlignedBytes, CsrSanView};
+use crate::view::CsrSanView;
 use std::ffi::{c_int, c_long, c_void};
 use std::fmt;
 use std::fs;
-use std::io::Read;
+use std::io::{Read, Seek};
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 
@@ -81,36 +88,34 @@ extern "C" {
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
 }
 
-/// How a [`MappedSnapshot`] holds its validated v1-layout bytes.
+/// What a [`MappedSnapshot`] serves its views from.
 ///
-/// v1 files are served straight from the page cache (`Mapped`); v2 files
-/// have no v1-layout bytes on disk, so their columns are decoded once at
-/// open into an owned, 8-byte-aligned buffer (`Owned`) and served from
-/// there with the exact same zero-copy views. Either way, after `open`
-/// the bytes are immutable and every accessor is O(1).
+/// v1 files are served straight from the page cache (`Mapped`). v2 full
+/// days and delta days have no v1-layout bytes on disk, so they are held
+/// as the owned snapshot they were loaded or built into (`Owned`) and
+/// viewed through its own columns. Either way, after construction the
+/// snapshot is immutable and every accessor is O(1).
 enum Backing {
-    /// A live `PROT_READ | MAP_PRIVATE` mapping (unmapped on drop).
-    Mapped { ptr: *const u8, len: usize },
-    /// An owned decoded snapshot image in v1 layout (heap memory).
-    Owned(AlignedBytes),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            // SAFETY: ptr/len describe a live PROT_READ mapping owned by
-            // `self`; the borrow ties the slice to the mapping's lifetime.
-            Backing::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            Backing::Owned(buf) => buf.as_bytes(),
-        }
-    }
+    /// A live `PROT_READ | MAP_PRIVATE` mapping (unmapped on drop) and its
+    /// validated header, cached for O(1) `view()` calls.
+    Mapped {
+        ptr: *const u8,
+        len: usize,
+        header: StoreHeader,
+    },
+    /// An owned snapshot plus the on-disk tag of each attribute type: the
+    /// one column whose in-memory form differs from the view's.
+    Owned { snap: CsrSan, attr_tags: Vec<u8> },
 }
 
 impl fmt::Debug for Backing {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Backing::Mapped { len, .. } => f.debug_struct("Mapped").field("len", len).finish(),
-            Backing::Owned(buf) => f.debug_struct("Owned").field("len", &buf.len()).finish(),
+            Backing::Owned { snap, .. } => f
+                .debug_struct("Owned")
+                .field("v1_len", &snap.store_bytes_len())
+                .finish(),
         }
     }
 }
@@ -123,8 +128,8 @@ impl fmt::Debug for Backing {
 /// so a cache hit is one atomic increment.
 ///
 /// v2 files cannot be viewed in place (their columns are compressed), so
-/// [`open`](MappedSnapshot::open) transparently decodes a v2 *full* file
-/// into an owned v1-layout buffer behind the same handle — callers see an
+/// [`open`](MappedSnapshot::open) transparently loads a v2 *full* file
+/// into an owned [`CsrSan`] behind the same handle — callers see an
 /// identical [`CsrSanView`] either way. A standalone v2 *delta* file is
 /// not self-contained and reports [`StoreError::DeltaWithoutBase`]; chain
 /// resolution lives in
@@ -133,7 +138,6 @@ impl fmt::Debug for Backing {
 #[derive(Debug)]
 pub struct MappedSnapshot {
     backing: Backing,
-    header: StoreHeader,
     path: PathBuf,
 }
 
@@ -141,7 +145,7 @@ pub struct MappedSnapshot {
 // (PROT_READ | MAP_PRIVATE, see the module contract): concurrent reads
 // from any number of threads race with nothing. The raw pointer is only a
 // region handle; no interior mutability exists. The owned backing is
-// plain heap memory (`Vec<u64>`), Send + Sync by construction.
+// plain heap memory (`Vec`s), Send + Sync by construction.
 unsafe impl Send for MappedSnapshot {}
 unsafe impl Sync for MappedSnapshot {}
 
@@ -152,9 +156,10 @@ impl MappedSnapshot {
     /// failure (including all crafted-bytes corruption) is a typed
     /// [`StoreError`]; no code path panics on untrusted file content.
     ///
-    /// A v2 *full* file is decoded once into an owned v1-layout buffer
-    /// (same validation stack, same views); a standalone v2 *delta* file
-    /// is rejected as [`StoreError::DeltaWithoutBase`].
+    /// A v2 *full* file is read through the handle that checked its
+    /// prefix and loaded by the eager v2 loader (checksum, tags, offsets,
+    /// id ranges), then served from the owned snapshot; a standalone v2
+    /// *delta* file is rejected as [`StoreError::DeltaWithoutBase`].
     pub fn open(path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = fs::File::open(&path)?;
@@ -168,17 +173,12 @@ impl MappedSnapshot {
         let mut prefix = [0u8; VERSION_PREFIX_BYTES];
         file.read_exact(&mut prefix)?;
         if prefix[0..8] == MAGIC && u32::from_le_bytes(array_at(&prefix, 8)) == FORMAT_VERSION_V2 {
-            drop(file);
-            let raw = fs::read(&path)?;
-            let image = decode_v2_image(&raw)?;
-            // The image is structurally sealed but not yet semantically
-            // validated — run the exact v1 matrix over it.
-            let (_, header) = CsrSanView::new_with_header(&image)?;
-            return Ok(MappedSnapshot {
-                backing: Backing::Owned(image),
-                header,
-                path,
-            });
+            // Same handle, so the same inode whose prefix was checked,
+            // even if a vault commit renames a new file over `path`.
+            file.rewind()?;
+            let mut raw = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
+            file.read_to_end(&mut raw)?;
+            return Ok(MappedSnapshot::from_owned(read_v2_full(&raw)?, path));
         }
         if len < HEADER_BYTES as u64 {
             // Too short to even hold a header — and a zero-length mmap is
@@ -230,63 +230,62 @@ impl MappedSnapshot {
             backing: Backing::Mapped {
                 ptr: ptr.cast_const().cast::<u8>(),
                 len,
+                header,
             },
-            header,
             path,
         })
     }
 
     /// Wraps an in-memory snapshot in the `MappedSnapshot` handle without
-    /// touching the filesystem: the snapshot is serialised into a sealed
-    /// v1-layout buffer, validated through the exact
-    /// [`CsrSanView::new`] matrix, and served from owned memory. This is
-    /// how both delta paths — the chain replay of
+    /// touching the filesystem: the snapshot is moved in and its views
+    /// borrow its own columns. Nothing is encoded or re-validated — every
+    /// [`CsrSan`] is valid when built (frozen, loaded by a validating
+    /// decoder, or merged by a delta day after the delta checks). This is
+    /// how a v2 full day from [`open`](MappedSnapshot::open) and both
+    /// delta paths — the chain replay of
     /// [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day)
     /// and the one-merge open of
     /// [`SnapshotVault::map_delta_onto`](crate::store::SnapshotVault::map_delta_onto)
-    /// — serve a reconstructed delta day behind the same `Send + Sync`
-    /// handle the serving layer caches for plain v1 mappings; `path`
-    /// records which day file the snapshot stands in for.
-    pub fn from_owned(snap: &CsrSan, path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
-        // Serialise straight into the aligned buffer: no staging Vec.
-        let len = snap.store_bytes_len();
-        let mut image = AlignedBytes::zeroed(len as usize);
-        let written = snap.write_to(&mut image.as_mut_bytes())?;
-        if written != len {
-            return Err(StoreError::CountMismatch {
-                what: "serialised snapshot bytes",
-                expected: len,
-                found: written,
-            });
-        }
-        let (_, header) = CsrSanView::new_with_header(&image)?;
-        Ok(MappedSnapshot {
-            backing: Backing::Owned(image),
-            header,
+    /// — are served behind the same `Send + Sync` handle the serving layer
+    /// caches for plain v1 mappings; `path` records which day file the
+    /// snapshot stands in for.
+    pub fn from_owned(snap: CsrSan, path: impl AsRef<Path>) -> MappedSnapshot {
+        let attr_tags = snap
+            .attr_types
+            .iter()
+            .map(|&ty| attr_type_tag(ty))
+            .collect();
+        MappedSnapshot {
+            backing: Backing::Owned { snap, attr_tags },
             path: path.as_ref().to_path_buf(),
-        })
+        }
     }
 
-    /// The raw snapshot bytes in v1 layout (header + columns + trailer) —
-    /// the mapped file for v1 days, the owned decoded image for v2 days.
-    #[inline]
-    pub fn bytes(&self) -> &[u8] {
-        self.backing.bytes()
-    }
-
-    /// A zero-copy snapshot view over the mapping. O(1): the bytes were
-    /// validated once in [`open`](MappedSnapshot::open), so this only
-    /// slices the already-parsed column grid.
+    /// A zero-copy snapshot view. O(1): a mapped file was validated once
+    /// in [`open`](MappedSnapshot::open), so this only slices the
+    /// already-parsed column grid; an owned snapshot lends its columns.
     #[inline]
     pub fn view(&self) -> CsrSanView<'_> {
-        CsrSanView::from_trusted(self.bytes(), &self.header)
+        match &self.backing {
+            Backing::Mapped { ptr, len, header } => {
+                // SAFETY: ptr/len describe a live PROT_READ mapping owned
+                // by `self`; the borrow ties the slice to its lifetime.
+                let bytes = unsafe { std::slice::from_raw_parts(*ptr, *len) };
+                CsrSanView::from_trusted(bytes, header)
+            }
+            Backing::Owned { snap, attr_tags } => CsrSanView::from_csr(snap, attr_tags),
+        }
     }
 
-    /// Length of the backing bytes: the on-disk file size for a mapped v1
-    /// snapshot, the decoded v1-layout image size for an owned (v2 or
-    /// delta-reconstructed) snapshot.
+    /// The snapshot's size in v1 layout: the on-disk file size for a
+    /// mapped v1 snapshot, [`CsrSan::store_bytes_len`] for an owned (v2 or
+    /// delta-built) one — the same figure either way, so cache budgets and
+    /// read meters do not depend on how a day is held.
     pub fn mapped_bytes(&self) -> usize {
-        self.bytes().len()
+        match &self.backing {
+            Backing::Mapped { len, .. } => *len,
+            Backing::Owned { snap, .. } => snap.store_bytes_len() as usize,
+        }
     }
 
     /// The file this snapshot was mapped (or decoded) from.
@@ -297,7 +296,7 @@ impl MappedSnapshot {
 
 impl Drop for MappedSnapshot {
     fn drop(&mut self) {
-        if let Backing::Mapped { ptr, len } = self.backing {
+        if let Backing::Mapped { ptr, len, .. } = self.backing {
             // SAFETY: ptr/len are the exact values a successful mmap
             // returned and every borrow of the mapping has ended (Drop
             // takes &mut). The owned backing frees itself.
@@ -356,16 +355,15 @@ mod tests {
         let view = mapped.view();
         assert_eq!(view.num_social_nodes(), csr.num_social_nodes());
         assert_eq!(view.to_owned_csr(), csr);
-        // Page alignment exceeds the 4-byte column requirement.
-        assert_eq!(mapped.bytes().as_ptr() as usize % 4096, 0);
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn from_owned_serves_the_v1_image() {
+    fn from_owned_serves_the_snapshot_columns() {
         for csr in [sample_csr(), crate::CsrSan::default()] {
-            let owned = MappedSnapshot::from_owned(&csr, "day-0000.csr").expect("from owned");
-            assert_eq!(owned.bytes(), csr.to_store_bytes().as_slice());
+            let owned = MappedSnapshot::from_owned(csr.clone(), "day-0000.csr");
+            assert_eq!(owned.mapped_bytes() as u64, csr.store_bytes_len());
+            assert_eq!(owned.path(), Path::new("day-0000.csr"));
             assert_eq!(owned.view().to_owned_csr(), csr);
         }
     }

@@ -174,11 +174,12 @@
 //!   `SnapshotServer`) opens a cold delta day this way whenever its base
 //!   is resident, and standalone otherwise.
 //!
-//! Both paths serve the result through
-//! [`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned),
-//! check each delta file's base pointer against the manifest
-//! ([`StoreError::BadManifest`]), and meter the links they apply
-//! ([`VaultMetrics::record_chain`]). Chains are bounded at
+//! Both `map_*` paths serve the merged snapshot itself through
+//! [`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned)
+//! (no v1 image is encoded and nothing is re-validated: the delta checks
+//! ran before the merge). Both check each delta file's base pointer
+//! against the manifest ([`StoreError::BadManifest`]), and meter the
+//! links they apply ([`VaultMetrics::record_chain`]). Chains are bounded at
 //! [`MAX_DELTA_CHAIN`] links: [`SnapshotVault::save_day_delta`] refuses
 //! to extend past the bound, and readers reject deeper chains and
 //! dangling bases ([`StoreError::DeltaWithoutBase`]) rather than
@@ -587,7 +588,7 @@ impl<W: Write> HashingWriter<'_, W> {
 
 /// Stable `u8` tag for an [`AttrType`] (part of the on-disk format; only
 /// append new tags, never renumber).
-fn attr_type_tag(ty: AttrType) -> u8 {
+pub(crate) fn attr_type_tag(ty: AttrType) -> u8 {
     match ty {
         AttrType::School => 0,
         AttrType::Major => 1,
@@ -1252,7 +1253,9 @@ fn decode_col_vec<T>(
 /// The eager v2 full-day loader: header checks (a delta day reports
 /// [`StoreError::DeltaWithoutBase`]), checksum, per-column decode, then
 /// exactly the v1 semantic validation (tags, offset shape, id ranges).
-fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
+/// [`MappedSnapshot::open`](crate::mmap::MappedSnapshot::open) serves a
+/// v2 full file from what this returns.
+pub(crate) fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
     let hdr = V2FullHeader::parse(bytes)?;
     verify_v2_trailer(bytes, hdr.total_bytes)?;
     let count = |i: usize| hdr.counts[i] as usize;
@@ -1297,62 +1300,6 @@ fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
         num_social_links: hdr.num_social_links as usize,
         num_attr_links: hdr.num_attr_links as usize,
     })
-}
-
-/// Decodes a v2 *full* buffer into a sealed v1 image: synthesized v1
-/// header, raw little-endian columns, FNV trailer — bit-identical to what
-/// [`CsrSan::write_to`] emits for the same snapshot. Each compressed
-/// column decodes directly into its slice of the image, so peak memory is
-/// the image itself plus O(1) scratch — no O(file) staging.
-///
-/// The image is structurally complete but **not** semantically validated;
-/// callers run [`CsrSanView::new`] over it, reusing the entire v1
-/// validation stack. A delta buffer reports
-/// [`StoreError::DeltaWithoutBase`].
-pub fn decode_v2_image(bytes: &[u8]) -> Result<AlignedBytes, StoreError> {
-    let hdr = V2FullHeader::parse(bytes)?;
-    verify_v2_trailer(bytes, hdr.total_bytes)?;
-    // The v1 layout the image will carry. Counts are capped at u32::MAX
-    // and bounded by delivered bytes (count ≤ byte_len), so the image is
-    // at most ~4× the file and the arithmetic cannot overflow u64.
-    let mut v1_offsets = [0u64; NUM_ARRAYS];
-    let mut offset = HEADER_BYTES as u64;
-    for (i, slot) in v1_offsets.iter_mut().enumerate() {
-        *slot = offset;
-        offset += hdr.counts[i] * elem_bytes(i);
-    }
-    let payload_end = offset as usize;
-    let total = payload_end + CHECKSUM_BYTES;
-    let mut image = AlignedBytes::zeroed(total);
-    {
-        let img = image.as_mut_bytes();
-        img[0..8].copy_from_slice(&MAGIC);
-        img[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        img[12..20].copy_from_slice(&hdr.num_social_links.to_le_bytes());
-        img[20..28].copy_from_slice(&hdr.num_attr_links.to_le_bytes());
-        for (i, &off) in v1_offsets.iter().enumerate() {
-            let at = 28 + i * 16;
-            img[at..at + 8].copy_from_slice(&off.to_le_bytes());
-            img[at + 8..at + 16].copy_from_slice(&hdr.counts[i].to_le_bytes());
-        }
-        for i in 0..NUM_ARRAYS - 1 {
-            let start = v1_offsets[i] as usize;
-            let dst = &mut img[start..start + hdr.counts[i] as usize * 4];
-            codec::decode_u32s_with(
-                hdr.col(bytes, i),
-                hdr.counts[i] as usize,
-                ARRAY_NAMES[i],
-                |j, v| {
-                    dst[j * 4..j * 4 + 4].copy_from_slice(&v.to_le_bytes());
-                },
-            )?;
-        }
-        let tag_start = v1_offsets[NUM_ARRAYS - 1] as usize;
-        img[tag_start..payload_end].copy_from_slice(hdr.col(bytes, NUM_ARRAYS - 1));
-        let seal = fnv1a64(&img[..payload_end]);
-        img[payload_end..total].copy_from_slice(&seal.to_le_bytes());
-    }
-    Ok(image)
 }
 
 /// Add-list names of a delta day, in file order (the five CSRs).
@@ -2430,8 +2377,9 @@ impl SnapshotVault {
     /// manifest entry names as base (already open — typically resident in
     /// a serving cache): one delta read and one merge, whatever the depth
     /// of the chain below the base. The result is bit-identical to
-    /// [`map_day`](SnapshotVault::map_day) and is served from an owned
-    /// v1-layout buffer ([`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned)),
+    /// [`map_day`](SnapshotVault::map_day) and is served from the merged
+    /// snapshot's own columns
+    /// ([`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned)),
     /// like every reconstructed delta day. Metered as a read of the delta
     /// file plus a chain of one link ([`VaultMetrics::record_chain`]).
     ///
@@ -2471,7 +2419,7 @@ impl SnapshotVault {
         let started = Instant::now();
         let (delta, bytes) = self.read_delta(day)?;
         let snap = delta.apply_to(base.view().into())?;
-        let mapped = crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))?;
+        let mapped = crate::mmap::MappedSnapshot::from_owned(snap, self.day_path(day));
         self.metrics.record_read(bytes, started.elapsed());
         self.metrics.record_chain(1);
         Ok(mapped)
@@ -2482,10 +2430,13 @@ impl SnapshotVault {
     /// column — the zero-copy counterpart of
     /// [`load_day`](SnapshotVault::load_day). The returned
     /// [`MappedSnapshot`](crate::mmap::MappedSnapshot) hands out
-    /// [`CsrSanView`]s that read the file's pages in place and is
-    /// `Send + Sync`, so one mapping can serve many threads. Metered as a
-    /// read of the file's full validated length (the validation pass
-    /// touches every byte).
+    /// [`CsrSanView`]s that read a v1 file's pages in place and is
+    /// `Send + Sync`, so one mapping can serve many threads. A v2 full day
+    /// is loaded by the eager v2 loader and a delta day reconstructed
+    /// standalone, and both are served from the snapshot's own columns.
+    /// Metered as a read of the file's full validated length (the
+    /// validation pass touches every byte), or of the chain's bytes for a
+    /// delta day.
     #[cfg(unix)]
     pub fn map_day(&self, day: u32) -> Result<crate::mmap::MappedSnapshot, StoreError> {
         let Some(&entry) = self.days.get(&day) else {
@@ -2500,12 +2451,12 @@ impl SnapshotVault {
             }
             DayFormat::V2Delta { .. } => {
                 // A delta day has no standalone on-disk image to map; the
-                // chain is reconstructed and served from an owned,
-                // v1-layout buffer behind the same handle type. Metered
-                // once that image is validated, like map_delta_onto.
+                // chain is reconstructed and the snapshot is served from
+                // its own columns behind the same handle type. Metered
+                // once it is built, like map_delta_onto.
                 let started = Instant::now();
                 let (snap, bytes, links) = self.replay_delta_chain(day)?;
-                let mapped = crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))?;
+                let mapped = crate::mmap::MappedSnapshot::from_owned(snap, self.day_path(day));
                 self.metrics.record_read(bytes, started.elapsed());
                 self.metrics.record_chain(links);
                 Ok(mapped)
@@ -3205,7 +3156,7 @@ mod tests {
         assert_eq!(vault.metrics().delta_chain_loads(), 3);
         assert_eq!(vault.metrics().max_chain_len(), 3);
         assert_eq!(vault.metrics().delta_links_applied(), 1 + 2 + 3);
-        // A delta day maps too: served from an owned decoded image.
+        // A delta day maps too: served from the reconstructed snapshot.
         #[cfg(unix)]
         {
             let mapped = vault.map_day(3).unwrap();

@@ -20,7 +20,9 @@
 //! ([`MappedSnapshot`](crate::mmap::MappedSnapshot), page-aligned by
 //! `mmap(2)`), but any 4-byte-aligned buffer works — [`AlignedBytes`]
 //! re-homes an arbitrary byte vector for callers (and tests) that hold
-//! snapshots in plain heap memory.
+//! snapshots in plain heap memory. A snapshot that is already an owned
+//! [`CsrSan`] (a decoded v2 full day, a delta-built day) needs no buffer
+//! at all: the mapped handle views its columns directly, in safe code.
 //!
 //! # Safety boundary
 //!
@@ -231,6 +233,30 @@ impl<'a> CsrSanView<'a> {
         }
     }
 
+    /// Builds the view over an owned snapshot's own columns, with
+    /// `attr_tags` holding the on-disk tag of each of its attribute types
+    /// — how [`MappedSnapshot`](crate::mmap::MappedSnapshot) serves a v2
+    /// full day or a delta-built day with no v1 image behind it. Safe and
+    /// O(1): every [`CsrSan`] is valid when built, so nothing is checked.
+    pub(crate) fn from_csr(snap: &'a CsrSan, attr_tags: &'a [u8]) -> CsrSanView<'a> {
+        debug_assert_eq!(attr_tags.len(), snap.attr_types.len());
+        CsrSanView {
+            out_off: &snap.out_off,
+            out_dst: &snap.out_dst,
+            in_off: &snap.in_off,
+            in_src: &snap.in_src,
+            ua_off: &snap.ua_off,
+            ua_attr: &snap.ua_attr,
+            am_off: &snap.am_off,
+            am_user: &snap.am_user,
+            und_off: &snap.und_off,
+            und_nbr: &snap.und_nbr,
+            attr_tags,
+            num_social_links: snap.num_social_links,
+            num_attr_links: snap.num_attr_links,
+        }
+    }
+
     /// The precomputed sorted undirected neighbourhood `Γs(u)`, borrowed
     /// straight from the buffer (the view analogue of
     /// [`CsrSan::undirected_neighbors`]).
@@ -436,9 +462,8 @@ impl AlignedBytes {
         }
     }
 
-    /// A zeroed 8-byte-aligned buffer of `len` bytes — the destination the
-    /// v2 decoder ([`decode_v2_image`](crate::store::decode_v2_image))
-    /// fills column by column without any intermediate staging.
+    /// A zeroed 8-byte-aligned buffer of `len` bytes, for callers that
+    /// assemble a snapshot image in place.
     pub fn zeroed(len: usize) -> AlignedBytes {
         AlignedBytes {
             storage: vec![0u64; len.div_ceil(8)],
