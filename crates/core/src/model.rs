@@ -32,6 +32,16 @@
 //! the Google+ *simulator* (crate `san-sim`) needs it to reproduce the
 //! hybrid friend/pub-sub reciprocity decay of Fig. 4a. The paper presets
 //! keep it at 0.
+//!
+//! Wakes and delayed reciprocations wait in day-bucketed calendars rather
+//! than one global heap. A wake at time `τ` waits in bucket `⌈τ⌉`; day `t`
+//! turns its bucket into a heap, pops it in `(time, node)` order and takes
+//! re-wakes due by `t` into the same heap, so every wake still fires in
+//! global time order. A reciprocation pushed on day `p` waits in bucket
+//! `max(⌈τ⌉, p + 1)` and each bucket fires in `(time, src, dst)` order at
+//! the start of its day. Entries past the last day are dropped, since they
+//! would never fire. The event stream is the one a single global heap
+//! produces, event for event.
 
 use crate::attach::LapaSampler;
 use crate::closing::ClosingModel;
@@ -432,6 +442,43 @@ impl PartialOrd for PendingLink {
     }
 }
 
+/// Entries bucketed by the day they come due; days past the last one
+/// have no bucket, so entries for them are dropped.
+#[derive(Debug)]
+struct Calendar<T> {
+    buckets: Vec<Vec<T>>,
+}
+
+impl<T> Calendar<T> {
+    /// Buckets for days `0..=days`.
+    fn new(days: u32) -> Self {
+        Calendar {
+            buckets: (0..=days).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Files `entry` under day `⌈time⌉`, but no earlier than `earliest`.
+    fn push(&mut self, time: f64, earliest: u32, entry: T) {
+        // A float-to-int `as` saturates, so far-future times land past
+        // the last bucket.
+        let day = (time.ceil() as u64).max(u64::from(earliest));
+        if let Some(bucket) = usize::try_from(day)
+            .ok()
+            .and_then(|d| self.buckets.get_mut(d))
+        {
+            bucket.push(entry);
+        }
+    }
+
+    /// Takes day `t`'s bucket out of the calendar.
+    fn take(&mut self, t: u32) -> Vec<T> {
+        self.buckets
+            .get_mut(t as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+}
+
 /// The generative process, ready to run.
 #[derive(Debug, Clone)]
 pub struct SanModel {
@@ -506,10 +553,10 @@ impl SanModel {
         let mut attr_multiset: Vec<AttrId> = Vec::new();
         // Death day per social node.
         let mut death: Vec<f64> = Vec::new();
-        let mut queue: BinaryHeap<Wake> = BinaryHeap::new();
+        let mut wakes: Calendar<Wake> = Calendar::new(p.days);
         // Pending delayed reciprocations: (fire time, src, dst) meaning the
         // link src -> dst will be created when the time arrives.
-        let mut pending_recip: BinaryHeap<PendingLink> = BinaryHeap::new();
+        let mut pending_recip: Calendar<PendingLink> = Calendar::new(p.days);
 
         // --- Initialization: complete seed SAN (§5.3) -------------------
         let seeds: Vec<SocialId> = (0..p.seed_social)
@@ -550,8 +597,8 @@ impl SanModel {
             let recip = p.reciprocation_on(t);
             // Fire due reciprocations first: they respond to links from
             // earlier days.
-            while pending_recip.peek().is_some_and(|e| e.time <= f64::from(t)) {
-                let e = pending_recip.pop().expect("peeked");
+            let mut due = BinaryHeap::from(pending_recip.take(t));
+            while let Some(e) = due.pop() {
                 let (src, dst) = (SocialId(e.src), SocialId(e.dst));
                 if tb.add_social_link(src, dst) {
                     sampler.on_social_link(tb.san(), dst);
@@ -573,7 +620,7 @@ impl SanModel {
                             &mut pending_recip,
                             u,
                             recip,
-                            f64::from(t),
+                            t,
                             &mut rng,
                         );
                     }
@@ -605,7 +652,7 @@ impl SanModel {
                             &mut pending_recip,
                             u,
                             recip,
-                            f64::from(t),
+                            t,
                             &mut rng,
                         );
                     }
@@ -624,15 +671,14 @@ impl SanModel {
 
                 // Sleep time sampling.
                 let s = self.sample_sleep(tb.san().out_degree(u), &mut rng);
-                queue.push(Wake {
-                    time: f64::from(t) + s,
-                    node: u.0,
-                });
+                let time = f64::from(t) + s;
+                wakes.push(time, t, Wake { time, node: u.0 });
             }
 
-            // Collect woken social nodes.
-            while queue.peek().is_some_and(|w| w.time <= f64::from(t)) {
-                let wake = queue.pop().expect("peeked");
+            // Collect woken social nodes: today's bucket, in time order,
+            // plus re-wakes that fall due today.
+            let mut woken = BinaryHeap::from(wakes.take(t));
+            while let Some(wake) = woken.pop() {
                 let u = SocialId(wake.node);
                 if wake.time > death[u.index()] {
                     continue; // lifetime over: retire the node.
@@ -649,6 +695,7 @@ impl SanModel {
                             u,
                             v,
                             recip,
+                            t,
                             wake.time,
                             &mut rng,
                         );
@@ -656,10 +703,15 @@ impl SanModel {
                 }
                 // Sleep time re-sampling.
                 let s = self.sample_sleep(tb.san().out_degree(u), &mut rng);
-                queue.push(Wake {
+                let next = Wake {
                     time: wake.time + s,
                     node: u.0,
-                });
+                };
+                if next.time <= f64::from(t) {
+                    woken.push(next);
+                } else {
+                    wakes.push(next.time, t, next);
+                }
             }
         }
         sink(p.days, &tb.drain_events());
@@ -686,10 +738,10 @@ impl SanModel {
         &self,
         tb: &mut TimelineBuilder,
         sampler: &mut LapaSampler,
-        pending_recip: &mut BinaryHeap<PendingLink>,
+        pending_recip: &mut Calendar<PendingLink>,
         u: SocialId,
         recip: f64,
-        now: f64,
+        t: u32,
         rng: &mut SplitRng,
     ) {
         let target = match self.params.first_link {
@@ -710,7 +762,17 @@ impl SanModel {
         if let Some(v) = target {
             if tb.add_social_link(u, v) {
                 sampler.on_social_link(tb.san(), v);
-                self.maybe_reciprocate(tb, sampler, pending_recip, u, v, recip, now, rng);
+                self.maybe_reciprocate(
+                    tb,
+                    sampler,
+                    pending_recip,
+                    u,
+                    v,
+                    recip,
+                    t,
+                    f64::from(t),
+                    rng,
+                );
             }
         }
     }
@@ -720,10 +782,11 @@ impl SanModel {
         &self,
         tb: &mut TimelineBuilder,
         sampler: &mut LapaSampler,
-        pending_recip: &mut BinaryHeap<PendingLink>,
+        pending_recip: &mut Calendar<PendingLink>,
         u: SocialId,
         v: SocialId,
         recip: f64,
+        t: u32,
         now: f64,
         rng: &mut SplitRng,
     ) {
@@ -748,11 +811,17 @@ impl SanModel {
         let delay = Exponential::new(self.params.reciprocate_delay_mean)
             .expect("validated mean")
             .sample(rng);
-        pending_recip.push(PendingLink {
-            time: now + delay,
-            src: v.0,
-            dst: u.0,
-        });
+        // Today's reciprocations have fired: the earliest is tomorrow's.
+        let time = now + delay;
+        pending_recip.push(
+            time,
+            t + 1,
+            PendingLink {
+                time,
+                src: v.0,
+                dst: u.0,
+            },
+        );
     }
 
     fn assign_attrs(
@@ -1040,6 +1109,21 @@ mod tests {
         assert_eq!(heap.pop().unwrap(), Wake { time: 1.0, node: 3 });
         assert_eq!(heap.pop().unwrap(), Wake { time: 1.0, node: 9 });
         assert_eq!(heap.pop().unwrap(), Wake { time: 2.0, node: 1 });
+    }
+
+    #[test]
+    fn calendar_files_by_ceiling_and_drops_past_the_end() {
+        let mut cal = Calendar::new(3);
+        cal.push(1.0, 1, 'a'); // exactly day 1
+        cal.push(1.5, 1, 'b'); // ceil -> day 2
+        cal.push(0.2, 3, 'c'); // held back to day 3
+        cal.push(3.01, 1, 'd'); // day 4: past the end
+        cal.push(f64::MAX, 1, 'e'); // saturates past the end
+        assert_eq!(cal.take(1), vec!['a']);
+        assert_eq!(cal.take(2), vec!['b']);
+        assert_eq!(cal.take(3), vec!['c']);
+        assert!(cal.take(3).is_empty());
+        assert!(cal.take(4).is_empty());
     }
 
     #[test]

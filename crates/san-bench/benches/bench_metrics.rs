@@ -1,12 +1,17 @@
 //! Criterion benchmarks for the measurement library, including two
 //! accuracy/latency trade-offs: exact vs Algorithm 2 clustering (the
 //! `alg2` experiment in `san_bench::exp::modeling`), and HyperANF
-//! register width.
+//! register width. `metrics/clustering_workers` times the exact sweep on
+//! one and two driver shares over growing days of a ~79 k-user synthetic
+//! Google+ run: the sweeps' worker gate is chosen from its rows (see
+//! `san_metrics::clustering`).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use san_core::model::{SanModel, SanModelParams};
-use san_graph::San;
-use san_metrics::clustering::{approx_average_clustering_k, average_clustering_exact, NodeSet};
+use san_graph::{San, SanRead};
+use san_metrics::clustering::{
+    approx_average_clustering_k, average_clustering_exact, with_workers, NodeSet,
+};
 use san_metrics::hyperanf::social_effective_diameter;
 use san_metrics::jdd::{social_assortativity, social_knn};
 use san_metrics::reciprocity::global_reciprocity;
@@ -39,6 +44,44 @@ fn bench_clustering(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// The exact social sweep on 1 and 2 shares, on the first day of a
+/// scale-400 `GooglePlus` run that reaches `2^k` social links, and through
+/// the plain entry point on its final day (~79 k users, the size of
+/// perfbench `pipeline`'s last day).
+fn bench_clustering_workers(c: &mut Criterion) {
+    let tl = san_sim::GooglePlus::at_scale(400).generate(1).timeline;
+    let days = tl.day_counts();
+    let mut group = c.benchmark_group("metrics/clustering_workers");
+    group.sample_size(10);
+    for k in 10..=17u32 {
+        let Some(day) = days.iter().position(|d| d.social_links >= 1 << k) else {
+            continue;
+        };
+        let snap = tl.snapshot_csr(day as u32);
+        println!(
+            "metrics/clustering_workers: 2^{k} -> day {day}, {} social links",
+            snap.num_social_links()
+        );
+        for workers in [1usize, 2] {
+            let id = BenchmarkId::new(format!("links_2^{k}"), workers);
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    black_box(with_workers::average_clustering_exact(
+                        &snap,
+                        NodeSet::Social,
+                        workers,
+                    ))
+                });
+            });
+        }
+    }
+    let final_day = tl.snapshot_csr(tl.max_day().unwrap_or(0));
+    group.bench_function("final_day", |b| {
+        b.iter(|| black_box(average_clustering_exact(&final_day, NodeSet::Social)));
+    });
     group.finish();
 }
 
@@ -91,7 +134,7 @@ fn bench_degree_fitting(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_clustering, bench_hyperanf, bench_scalar_metrics, bench_degree_fitting
+    targets = bench_clustering, bench_clustering_workers, bench_hyperanf, bench_scalar_metrics, bench_degree_fitting
 }
 fn main() {
     benches();

@@ -27,6 +27,15 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Read-only access to a Social-Attribute Network.
+///
+/// # Mirror contract
+///
+/// `in_neighbors` mirrors `out_neighbors` exactly: `v` appears in
+/// `Γs,in(u)` as many times as `u` appears in `Γs,out(v)`, self-loops and
+/// duplicate arcs included. Likewise `members_of(a)` lists `u` iff
+/// `attrs_of(u)` lists `a`. Analytics may answer "does `v → u` exist?"
+/// from either side; global reciprocity, for one, reads it off
+/// `Γs,in(u)` instead of searching `Γs,out(v)`.
 pub trait SanRead {
     // ------------------------------------------------------------------
     // Required accessors

@@ -462,30 +462,11 @@ impl AlignedBytes {
         }
     }
 
-    /// A zeroed 8-byte-aligned buffer of `len` bytes, for callers that
-    /// assemble a snapshot image in place.
-    pub fn zeroed(len: usize) -> AlignedBytes {
-        AlignedBytes {
-            storage: vec![0u64; len.div_ceil(8)],
-            len,
-        }
-    }
-
     /// The buffer contents (base address 8-byte aligned).
     pub fn as_bytes(&self) -> &[u8] {
         // SAFETY: the storage allocation is `storage.len() * 8` bytes and
         // `len` never exceeds it; u8 reads of u64 storage are always valid.
         unsafe { std::slice::from_raw_parts(self.storage.as_ptr().cast::<u8>(), self.len) }
-    }
-
-    /// Mutable view of the buffer contents, for decoders that assemble a
-    /// snapshot image in place.
-    pub fn as_mut_bytes(&mut self) -> &mut [u8] {
-        // SAFETY: mirror of `as_bytes` — the storage allocation is
-        // `storage.len() * 8 >= len` bytes, the exclusive borrow of `self`
-        // makes the mutable slice unique, and any byte pattern is a valid
-        // u64, so writes through the u8 view cannot break storage validity.
-        unsafe { std::slice::from_raw_parts_mut(self.storage.as_mut_ptr().cast::<u8>(), self.len) }
     }
 }
 
@@ -599,21 +580,6 @@ mod tests {
             let aligned = AlignedBytes::from_bytes(&src);
             assert_eq!(aligned.as_bytes(), src.as_slice());
             assert_eq!(aligned.as_bytes().as_ptr() as usize % 8, 0);
-        }
-    }
-
-    #[test]
-    fn zeroed_buffer_is_writable_in_place() {
-        for len in [0usize, 1, 7, 8, 9, 204, 1000] {
-            let mut buf = AlignedBytes::zeroed(len);
-            assert!(buf.as_bytes().iter().all(|&b| b == 0));
-            assert_eq!(buf.as_bytes().len(), len);
-            assert_eq!(buf.as_bytes().as_ptr() as usize % 8, 0);
-            for (i, b) in buf.as_mut_bytes().iter_mut().enumerate() {
-                *b = (i * 37) as u8;
-            }
-            let expect: Vec<u8> = (0..len).map(|i| (i * 37) as u8).collect();
-            assert_eq!(buf.as_bytes(), expect.as_slice());
         }
     }
 

@@ -21,18 +21,42 @@
 //! Counting `L(u)` takes two routes. Sweeps over a whole node set
 //! ([`average_clustering_exact`], [`clustering_by_degree`],
 //! [`average_clustering_sharded`], [`attr_clustering_by_type`]) allocate
-//! one `u32` stamp per social node for the sweep, mark `Γs(u)` with a
-//! fresh epoch and test each out-neighbour with one load, so a sweep costs
-//! O(Σ out-degree over the neighbourhoods) with no search and no sorted
-//! copy of attribute members. The single-node [`local_clustering_social`]
+//! one `u32` stamp per social node for each share of the sweep, mark
+//! `Γs(u)` with a fresh epoch and test each out-neighbour with one load,
+//! so a sweep costs O(Σ out-degree over the neighbourhoods) with no
+//! search and no sorted copy of attribute members. The single-node [`local_clustering_social`]
 //! / [`local_clustering_attr`] point queries binary-search the sorted
 //! neighbourhood instead, since an O(|Vs|) array per query would cost
 //! more than it saves. Both routes count the same integers, so their
 //! coefficients agree bit for bit.
+//!
+//! The three plain sweeps take their per-node `(|Γs(u)|, c(u))` from one
+//! private driver. It deals `Ω`, in iteration order, into fixed
+//! 512-node chunks, round-robin over its shares; each share owns a stamp
+//! array and writes only its own disjoint chunks of one output vector.
+//! Each aggregation then folds that vector in node order, so a sweep's
+//! result does not depend on how many threads filled it: the same integer
+//! `L(u)`, the same division and the same summation order as one thread.
+//! The calling thread runs the first share itself and at most
+//! `available_parallelism() − 1` scoped workers run the rest, so no more
+//! threads are alive than the machine has cores. Graphs with fewer than
+//! 2^15 social links stay on the calling thread. The
+//! `metrics/clustering_workers` rows of `BENCH_METRICS.json` time one
+//! and two shares on two cores, each row on the first day of a
+//! synthetic run with at least 2^k links: a second share loses at 3.4 k
+//! links, saves 0.02–0.25 ms a sweep from 5.4 k to 18.9 k links, and
+//! 0.6–0.9 ms at 34 k, more above. Savings below that do not pay for
+//! what a first worker costs a single-threaded process for good: glibc
+//! malloc leaves its single-thread fast path and the worker takes an
+//! arena. With the gate at 2^12, perfbench `repro` (sweeps of 7–17 k
+//! links, no other thread) read 12 % slower and 2.8 % larger over 5
+//! alternating pairs.
 
 use san_graph::{AttrId, AttrType, SanRead, ShardedCsrSan, SocialId};
 use san_stats::{hoeffding_samples, SplitRng};
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::thread;
 
 /// Which node set `Ω` a clustering aggregate ranges over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,18 +139,157 @@ impl Stamps {
         self.links_among(san, nodes) as f64 / (d * (d - 1)) as f64
     }
 
-    /// Sum of `c` over the nodes of `which` that `san` iterates.
-    fn sum(&mut self, san: &impl SanRead, which: NodeSet) -> f64 {
+    /// `(d, c)` of node `id` of `which`: the size of its neighbourhood
+    /// and its coefficient.
+    fn node(&mut self, san: &impl SanRead, which: NodeSet, id: u32) -> (usize, f64) {
         match which {
-            NodeSet::Social => san
-                .social_nodes()
-                .map(|u| self.coefficient(san, &san.social_neighbors(u)))
-                .sum(),
-            NodeSet::Attr => san
-                .attr_nodes()
-                .map(|a| self.coefficient(san, san.members_of(a)))
-                .sum(),
+            NodeSet::Social => {
+                let nbrs = san.social_neighbors(SocialId(id));
+                (nbrs.len(), self.coefficient(san, &nbrs))
+            }
+            NodeSet::Attr => {
+                let members = san.members_of(AttrId(id));
+                (members.len(), self.coefficient(san, members))
+            }
         }
+    }
+}
+
+/// Nodes per chunk the sweep driver deals out.
+const CHUNK: usize = 512;
+
+/// One share of a sweep: its chunks of node ids, each with the output
+/// slots the share alone writes.
+type Share<'a> = Vec<(&'a [u32], &'a mut [(usize, f64)])>;
+
+/// Social links below which a whole-set sweep stays on the calling
+/// thread: the measured 1-vs-2-share crossover (see the module doc).
+const PARALLEL_MIN_LINKS: usize = 1 << 15;
+
+/// The shares a whole-set sweep of `san` runs on, the caller included:
+/// one below [`PARALLEL_MIN_LINKS`], else one per core.
+fn auto_workers(san: &impl SanRead) -> usize {
+    if san.num_social_links() < PARALLEL_MIN_LINKS {
+        1
+    } else {
+        thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    }
+}
+
+/// The sweep driver: `(d, c)` of every node of `which` that `san`
+/// iterates, in iteration order, computed on at most `workers` shares.
+///
+/// `Ω` is dealt in [`CHUNK`]-node chunks, round-robin; share `i` takes
+/// chunks `i, i + workers, …` with a stamp array of its own and writes
+/// only those chunks of the output. The caller runs share 0; the rest
+/// run on scoped threads, so `workers` counts the calling thread.
+fn coefficients(san: &(impl SanRead + Sync), which: NodeSet, workers: usize) -> Vec<(usize, f64)> {
+    let ids: Vec<u32> = match which {
+        NodeSet::Social => san.social_nodes().map(|u| u.0).collect(),
+        NodeSet::Attr => san.attr_nodes().map(|a| a.0).collect(),
+    };
+    let mut out = vec![(0, 0.0); ids.len()];
+    let workers = workers.clamp(1, ids.len().div_ceil(CHUNK).max(1));
+    let mut shares: Vec<Share<'_>> = (0..workers).map(|_| Vec::new()).collect();
+    for (k, chunk) in ids.chunks(CHUNK).zip(out.chunks_mut(CHUNK)).enumerate() {
+        shares[k % workers].push(chunk);
+    }
+    let run = |share: Share<'_>| {
+        let mut stamps = Stamps::new(san.num_social_nodes());
+        for (ids, slots) in share {
+            for (&id, slot) in ids.iter().zip(slots) {
+                *slot = stamps.node(san, which, id);
+            }
+        }
+    };
+    let mut shares = shares.into_iter();
+    let own = shares.next();
+    thread::scope(|scope| {
+        for share in shares {
+            scope.spawn(move || run(share));
+        }
+        if let Some(share) = own {
+            run(share);
+        }
+    });
+    out
+}
+
+/// `Σ c / |Ω|`, summed in node order.
+fn average_of(san: &impl SanRead, which: NodeSet, nodes: &[(usize, f64)]) -> f64 {
+    let n = match which {
+        NodeSet::Social => san.num_social_nodes(),
+        NodeSet::Attr => san.num_attr_nodes(),
+    };
+    if n == 0 {
+        return 0.0;
+    }
+    nodes.iter().map(|&(_, c)| c).sum::<f64>() / n as f64
+}
+
+/// Mean `c` per neighbourhood size, over the nodes with at least one
+/// neighbour, each size's sum taken in node order.
+fn by_degree_of(nodes: &[(usize, f64)]) -> Vec<(u64, f64)> {
+    let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    for &(d, c) in nodes.iter().filter(|&&(d, _)| d > 0) {
+        let e = acc.entry(d as u64).or_insert((0.0, 0));
+        e.0 += c;
+        e.1 += 1;
+    }
+    acc.into_iter()
+        .map(|(d, (sum, n))| (d, sum / n as f64))
+        .collect()
+}
+
+/// Mean `c` and node count per attribute type, each type's sum taken in
+/// node order; `nodes` is the driver's output for [`NodeSet::Attr`].
+fn by_type_of(san: &impl SanRead, nodes: &[(usize, f64)]) -> Vec<(AttrType, f64, usize)> {
+    let mut acc: BTreeMap<AttrType, (f64, usize)> = BTreeMap::new();
+    for (a, &(_, c)) in san.attr_nodes().zip(nodes) {
+        let e = acc.entry(san.attr_type(a)).or_insert((0.0, 0));
+        e.0 += c;
+        e.1 += 1;
+    }
+    acc.into_iter()
+        .map(|(ty, (sum, n))| (ty, sum / n as f64, n))
+        .collect()
+}
+
+/// The whole-set sweeps on an explicit number of shares, for the suites
+/// and benches that pin the driver at every worker count. The plain
+/// entry points choose the count themselves; each of these returns the
+/// same bits whatever `workers` is.
+#[doc(hidden)]
+pub mod with_workers {
+    use super::*;
+
+    /// [`average_clustering_exact`](super::average_clustering_exact) on
+    /// `workers` shares.
+    pub fn average_clustering_exact(
+        san: &(impl SanRead + Sync),
+        which: NodeSet,
+        workers: usize,
+    ) -> f64 {
+        average_of(san, which, &coefficients(san, which, workers))
+    }
+
+    /// [`clustering_by_degree`](super::clustering_by_degree) on `workers`
+    /// shares.
+    pub fn clustering_by_degree(
+        san: &(impl SanRead + Sync),
+        which: NodeSet,
+        workers: usize,
+    ) -> Vec<(u64, f64)> {
+        by_degree_of(&coefficients(san, which, workers))
+    }
+
+    /// [`attr_clustering_by_type`](super::attr_clustering_by_type) on
+    /// `workers` shares.
+    pub fn attr_clustering_by_type(
+        san: &(impl SanRead + Sync),
+        workers: usize,
+    ) -> Vec<(AttrType, f64, usize)> {
+        by_type_of(san, &coefficients(san, NodeSet::Attr, workers))
     }
 }
 
@@ -155,16 +318,10 @@ pub fn local_clustering_attr(san: &impl SanRead, a: AttrId) -> f64 {
 }
 
 /// Exact average clustering coefficient over `Ω` (O(Σ deg²) with one
-/// stamp array; use [`approx_average_clustering`] for large networks).
-pub fn average_clustering_exact(san: &impl SanRead, which: NodeSet) -> f64 {
-    let n = match which {
-        NodeSet::Social => san.num_social_nodes(),
-        NodeSet::Attr => san.num_attr_nodes(),
-    };
-    if n == 0 {
-        return 0.0;
-    }
-    Stamps::new(san.num_social_nodes()).sum(san, which) / n as f64
+/// stamp array per share; use [`approx_average_clustering`] for large
+/// networks).
+pub fn average_clustering_exact(san: &(impl SanRead + Sync), which: NodeSet) -> f64 {
+    with_workers::average_clustering_exact(san, which, auto_workers(san))
 }
 
 /// Shard-parallel exact average clustering over `Ω`.
@@ -185,8 +342,14 @@ pub fn average_clustering_sharded(g: &ShardedCsrSan, which: NodeSet) -> f64 {
         return 0.0;
     }
     let sum = g.fold_shards(
-        // A shard's ids are global: stamps span the whole id space.
-        |shard| Stamps::new(shard.num_social_nodes()).sum(&shard, which),
+        // One share per shard: `fold_shards` already spreads the shards
+        // over threads. A shard's ids are global, and so are its stamps.
+        |shard| {
+            coefficients(&shard, which, 1)
+                .iter()
+                .map(|&(_, c)| c)
+                .sum::<f64>()
+        },
         0.0f64,
         |acc, part| acc + part,
     );
@@ -265,25 +428,8 @@ pub fn approx_average_clustering(
 /// Exact per-degree clustering distribution (Fig. 9a): for each degree `d`
 /// (of `|Γs(u)|` for social nodes / social degree for attribute nodes),
 /// the mean clustering coefficient of the nodes with that degree.
-pub fn clustering_by_degree(san: &impl SanRead, which: NodeSet) -> Vec<(u64, f64)> {
-    let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
-    let mut stamps = Stamps::new(san.num_social_nodes());
-    let mut add = |nodes: &[SocialId]| {
-        if !nodes.is_empty() {
-            let e = acc.entry(nodes.len() as u64).or_insert((0.0, 0));
-            e.0 += stamps.coefficient(san, nodes);
-            e.1 += 1;
-        }
-    };
-    match which {
-        NodeSet::Social => san
-            .social_nodes()
-            .for_each(|u| add(&san.social_neighbors(u))),
-        NodeSet::Attr => san.attr_nodes().for_each(|a| add(san.members_of(a))),
-    }
-    acc.into_iter()
-        .map(|(d, (sum, n))| (d, sum / n as f64))
-        .collect()
+pub fn clustering_by_degree(san: &(impl SanRead + Sync), which: NodeSet) -> Vec<(u64, f64)> {
+    with_workers::clustering_by_degree(san, which, auto_workers(san))
 }
 
 /// Sampled per-degree clustering for large networks: computes exact `c(u)`
@@ -333,17 +479,8 @@ pub fn clustering_by_degree_sampled(
 /// Average attribute clustering coefficient per attribute type (Fig. 13b:
 /// Employer ≫ School > Major > City on Google+). Returns
 /// `(type, average, node count)` for every type present.
-pub fn attr_clustering_by_type(san: &impl SanRead) -> Vec<(AttrType, f64, usize)> {
-    let mut acc: BTreeMap<AttrType, (f64, usize)> = BTreeMap::new();
-    let mut stamps = Stamps::new(san.num_social_nodes());
-    for a in san.attr_nodes() {
-        let e = acc.entry(san.attr_type(a)).or_insert((0.0, 0));
-        e.0 += stamps.coefficient(san, san.members_of(a));
-        e.1 += 1;
-    }
-    acc.into_iter()
-        .map(|(ty, (sum, n))| (ty, sum / n as f64, n))
-        .collect()
+pub fn attr_clustering_by_type(san: &(impl SanRead + Sync)) -> Vec<(AttrType, f64, usize)> {
+    with_workers::attr_clustering_by_type(san, auto_workers(san))
 }
 
 #[cfg(test)]

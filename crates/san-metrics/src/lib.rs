@@ -24,9 +24,16 @@
 //! it on the caller thread or streams it through a bounded channel to
 //! worker threads with O(threads × E) peak memory.
 //!
+//! The plain exact clustering sweeps ([`average_clustering_exact`],
+//! [`clustering_by_degree`], [`clustering::attr_clustering_by_type`])
+//! already use the machine's cores on one snapshot: from 2^15 social
+//! links they split the node set across the calling thread and scoped
+//! workers, and fold the per-node coefficients in node order, so the
+//! answer is bit-for-bit the single-threaded one.
+//!
 //! The hot per-node sweeps also come in **shard-parallel** form over a
-//! range-partitioned [`san_graph::ShardedCsrSan`], so a *single* snapshot
-//! can saturate the machine: [`clustering::average_clustering_sharded`],
+//! range-partitioned [`san_graph::ShardedCsrSan`], for callers that hold
+//! a sharded snapshot anyway: [`clustering::average_clustering_sharded`],
 //! [`reciprocity::global_reciprocity_sharded`],
 //! [`degree_dist::degree_vectors_sharded`], [`jdd::social_knn_sharded`] /
 //! [`jdd::social_assortativity_sharded`], and

@@ -10,6 +10,11 @@
 //! snapshot, and buckets the answer by the endpoints' number of common
 //! social neighbours `s` and common attribute neighbours `a`; the headline
 //! result is that any shared attribute roughly doubles reciprocation.
+//!
+//! Global reciprocity is tallied without a per-link search: each node
+//! tags its in-neighbours in one `u32` array and counts the out-neighbours
+//! that carry the tag, O(|Es|) loads in all. The same loop serves the
+//! sequential, the shard-parallel and the served (memoised) answers.
 
 use san_graph::{SanRead, ShardedCsrSan};
 use std::collections::BTreeMap;
@@ -18,14 +23,26 @@ use std::collections::BTreeMap;
 /// iterates: the whole network for `San`/`CsrSan`, an owned node range
 /// for a [`san_graph::CsrShard`] — the one loop both the sequential and
 /// sharded reciprocity share, so their definitions cannot drift apart.
+///
+/// No link is searched for. For each node `u` the view iterates, the
+/// sources of `Γs,in(u)` are tagged with `u` in one `u32` per social node;
+/// a link `u → v` is mutual iff `v` carries that tag, because `v → u`
+/// exists iff `v ∈ Γs,in(u)` (the in/out mirror contract of
+/// [`SanRead`]). Every entry of `Γs,out(u)` counts as a link, so a
+/// duplicate arc counts twice and a self-loop is mutual, as with a
+/// per-link `has_social_link(v, u)` probe.
 fn reciprocity_tally(san: &impl SanRead) -> (usize, usize) {
+    // `u32::MAX` tags no node: that id would need 2^32 social nodes.
+    let mut tag = vec![u32::MAX; san.num_social_nodes()];
     let mut total = 0usize;
     let mut mutual = 0usize;
-    for (u, v) in san.social_links() {
-        total += 1;
-        if san.has_social_link(v, u) {
-            mutual += 1;
+    for u in san.social_nodes() {
+        for &w in san.in_neighbors(u) {
+            tag[w.index()] = u.0;
         }
+        let out = san.out_neighbors(u);
+        total += out.len();
+        mutual += out.iter().filter(|v| tag[v.index()] == u.0).count();
     }
     (total, mutual)
 }
@@ -44,8 +61,8 @@ pub fn global_reciprocity(san: &impl SanRead) -> f64 {
 /// Shard-parallel global reciprocity.
 ///
 /// Decomposition: each shard tallies `(links, mutual)` over the directed
-/// links *originating* in its node range (the reverse-link probe is a
-/// global binary search, so cross-shard reciprocal pairs resolve exactly);
+/// links *originating* in its node range (a node's in-row lists every
+/// source globally, so cross-shard reciprocal pairs resolve exactly);
 /// the integer tallies merge by addition, making the result **bit-for-bit
 /// identical** to [`global_reciprocity`] on the underlying snapshot.
 pub fn global_reciprocity_sharded(g: &ShardedCsrSan) -> f64 {

@@ -47,7 +47,7 @@ pub fn series_gap(a: &[(u64, f64)], b: &[(u64, f64)]) -> (f64, usize) {
 /// distribution: subsample attribute links with `keep_prob` (the paper uses
 /// 0.5) and compare the per-degree attribute clustering coefficients.
 pub fn subsampling_validation(
-    san: &impl SanRead,
+    san: &(impl SanRead + Sync),
     keep_prob: f64,
     rng: &mut SplitRng,
 ) -> SubsampleComparison {

@@ -1,19 +1,22 @@
 //! Sweep ≡ per-node: the whole-set clustering sweeps (stamp-array
 //! counting) return, **bit for bit**, the same aggregation over the
 //! single-node `local_clustering_*` point queries (binary-search
-//! counting), for both node sets, on every read representation — the
-//! mutable `San`, the frozen `CsrSan`, a zero-copy `CsrSanView`, and a
-//! raw adjacency-list view that keeps self-loops and duplicate arcs the
-//! other three reject. The shard-parallel sweep stays within 1e-12 of the
-//! sequential one.
+//! counting), for both node sets and on 1 to 4 driver shares, on every
+//! read representation — the mutable `San`, the frozen `CsrSan`, a
+//! zero-copy `CsrSanView`, and a raw adjacency-list view that keeps
+//! self-loops and duplicate arcs the other three reject. Global
+//! reciprocity (in-row tagging) equals a per-link `has_social_link`
+//! probe on the same four. The shard-parallel sweep stays within 1e-12
+//! of the sequential one.
 
 use proptest::prelude::*;
 use san_graph::view::{AlignedBytes, CsrSanView};
 use san_graph::{AttrId, AttrType, San, SanRead, ShardedCsrSan, SocialId};
 use san_metrics::clustering::{
-    average_clustering_exact, average_clustering_sharded, clustering_by_degree,
-    local_clustering_attr, local_clustering_social, NodeSet,
+    attr_clustering_by_type, average_clustering_exact, average_clustering_sharded,
+    clustering_by_degree, local_clustering_attr, local_clustering_social, with_workers, NodeSet,
 };
+use san_metrics::reciprocity::global_reciprocity;
 use std::collections::BTreeMap;
 
 /// Adjacency lists exactly as generated: self-loops and duplicate arcs
@@ -59,12 +62,15 @@ impl SanRead for RawLists {
     }
 }
 
-/// A random SAN: `(social nodes, attribute nodes, arcs, memberships)`.
-/// Arc endpoints are drawn from few nodes, so self-loops, duplicate arcs
-/// and reciprocal pairs are common; isolated nodes and attributes with 0
-/// or 1 members occur naturally; memberships arrive in random order, so
-/// members are out of id order.
-type Spec = (u32, u32, Vec<(u32, u32)>, Vec<(u32, u32)>);
+/// A random SAN: `(social nodes, attribute nodes, arcs, memberships,
+/// spread)`. Arc endpoints are drawn from few nodes, so self-loops,
+/// duplicate arcs and reciprocal pairs are common; isolated nodes and
+/// attributes with 0 or 1 members occur naturally; memberships arrive in
+/// random order, so members are out of id order. Every node id is
+/// multiplied by `spread` and the ids between stay isolated, so a large
+/// spread puts the structure into many of the sweep driver's 512-node
+/// chunks.
+type Spec = (u32, u32, Vec<(u32, u32)>, Vec<(u32, u32)>, u32);
 
 fn arb_spec() -> impl Strategy<Value = Spec> {
     (
@@ -72,22 +78,23 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
         0u32..6,
         prop::collection::vec((any::<u32>(), any::<u32>()), 0..60),
         prop::collection::vec((any::<u32>(), any::<u32>()), 0..30),
+        1u32..400,
     )
 }
 
 /// Builds the spec both through `San` (which rejects self-loops and
 /// duplicates) and verbatim as [`RawLists`].
 fn build(spec: &Spec) -> (San, RawLists) {
-    let (ns, na, arcs, memberships) = spec;
+    let (ns, na, arcs, memberships, spread) = spec;
     let mut san = San::new();
     let mut raw = RawLists::default();
-    for _ in 0..*ns {
+    for _ in 0..ns * spread {
         san.add_social_node();
         raw.out.push(Vec::new());
         raw.inc.push(Vec::new());
         raw.attrs.push(Vec::new());
     }
-    for i in 0..*na {
+    for i in 0..na * spread {
         let ty = AttrType::PAPER_TYPES[i as usize % 4];
         san.add_attr_node(ty);
         raw.members.push(Vec::new());
@@ -97,7 +104,7 @@ fn build(spec: &Spec) -> (San, RawLists) {
         return (san, raw);
     }
     for &(x, y) in arcs {
-        let (u, v) = (SocialId(x % ns), SocialId(y % ns));
+        let (u, v) = (SocialId(x % ns * spread), SocialId(y % ns * spread));
         san.add_social_link(u, v);
         raw.out[u.index()].push(v);
         raw.inc[v.index()].push(u);
@@ -107,7 +114,7 @@ fn build(spec: &Spec) -> (San, RawLists) {
         return (san, raw);
     }
     for &(x, y) in memberships {
-        let (u, a) = (SocialId(x % ns), AttrId(y % na));
+        let (u, a) = (SocialId(x % ns * spread), AttrId(y % na * spread));
         san.add_attr_link(u, a);
         if !raw.members[a.index()].contains(&u) {
             raw.members[a.index()].push(u);
@@ -137,8 +144,11 @@ fn per_node(g: &impl SanRead, which: NodeSet) -> Vec<(u64, f64)> {
 }
 
 /// The sweeps' aggregations, recomputed from the point queries in the
-/// same node order.
-fn reference(g: &impl SanRead, which: NodeSet) -> (f64, Vec<(u64, f64)>) {
+/// same node order: the average, the per-degree means and, for
+/// attribute nodes, the per-type means.
+type Aggregates = (f64, Vec<(u64, f64)>, Vec<(AttrType, f64, usize)>);
+
+fn reference(g: &impl SanRead, which: NodeSet) -> Aggregates {
     let nodes = per_node(g, which);
     let avg = if nodes.is_empty() {
         0.0
@@ -155,35 +165,114 @@ fn reference(g: &impl SanRead, which: NodeSet) -> (f64, Vec<(u64, f64)>) {
         .into_iter()
         .map(|(d, (sum, n))| (d, sum / n as f64))
         .collect();
-    (avg, by_degree)
+    let mut types: BTreeMap<AttrType, (f64, usize)> = BTreeMap::new();
+    if which == NodeSet::Attr {
+        for (a, &(_, c)) in g.attr_nodes().zip(&nodes) {
+            let e = types.entry(g.attr_type(a)).or_insert((0.0, 0));
+            e.0 += c;
+            e.1 += 1;
+        }
+    }
+    let by_type = types
+        .into_iter()
+        .map(|(ty, (sum, n))| (ty, sum / n as f64, n))
+        .collect();
+    (avg, by_degree, by_type)
 }
 
 fn bits(rows: &[(u64, f64)]) -> Vec<(u64, u64)> {
     rows.iter().map(|&(d, c)| (d, c.to_bits())).collect()
 }
 
-/// Asserts sweep ≡ per-node on one representation, for both node sets.
-fn check(g: &impl SanRead, label: &str) {
-    for which in [NodeSet::Social, NodeSet::Attr] {
-        let (avg, by_degree) = reference(g, which);
-        let got = average_clustering_exact(g, which);
-        prop_assert_eq!(
-            got.to_bits(),
-            avg.to_bits(),
-            "{} {:?}: average {} vs per-node {}",
-            label,
-            which,
-            got,
-            avg
-        );
-        prop_assert_eq!(
-            bits(&clustering_by_degree(g, which)),
-            bits(&by_degree),
-            "{} {:?}: by degree",
-            label,
-            which
-        );
+fn type_bits(rows: &[(AttrType, f64, usize)]) -> Vec<(AttrType, u64, usize)> {
+    rows.iter()
+        .map(|&(ty, c, n)| (ty, c.to_bits(), n))
+        .collect()
+}
+
+/// Global reciprocity by one `has_social_link(v, u)` probe per link.
+fn reciprocity_per_link(g: &impl SanRead) -> f64 {
+    let (mut total, mut mutual) = (0usize, 0usize);
+    for (u, v) in g.social_links() {
+        total += 1;
+        if g.has_social_link(v, u) {
+            mutual += 1;
+        }
     }
+    if total == 0 {
+        0.0
+    } else {
+        mutual as f64 / total as f64
+    }
+}
+
+/// Asserts sweep ≡ per-node on one representation, for both node sets,
+/// through the plain entry points and on 1 to 4 driver shares, and
+/// tagged reciprocity ≡ per-link reciprocity.
+fn check(g: &(impl SanRead + Sync), label: &str) {
+    for which in [NodeSet::Social, NodeSet::Attr] {
+        let (avg, by_degree, by_type) = reference(g, which);
+        let mut runs = vec![(
+            "auto".to_string(),
+            average_clustering_exact(g, which),
+            clustering_by_degree(g, which),
+            if which == NodeSet::Attr {
+                attr_clustering_by_type(g)
+            } else {
+                Vec::new()
+            },
+        )];
+        for workers in 1..=4 {
+            runs.push((
+                workers.to_string(),
+                with_workers::average_clustering_exact(g, which, workers),
+                with_workers::clustering_by_degree(g, which, workers),
+                if which == NodeSet::Attr {
+                    with_workers::attr_clustering_by_type(g, workers)
+                } else {
+                    Vec::new()
+                },
+            ));
+        }
+        for (workers, got_avg, got_by_degree, got_by_type) in runs {
+            prop_assert_eq!(
+                got_avg.to_bits(),
+                avg.to_bits(),
+                "{} {:?} workers={}: average {} vs per-node {}",
+                label,
+                which,
+                workers,
+                got_avg,
+                avg
+            );
+            prop_assert_eq!(
+                bits(&got_by_degree),
+                bits(&by_degree),
+                "{} {:?} workers={}: by degree",
+                label,
+                which,
+                workers
+            );
+            prop_assert_eq!(
+                type_bits(&got_by_type),
+                type_bits(&by_type),
+                "{} {:?} workers={}: by type",
+                label,
+                which,
+                workers
+            );
+        }
+    }
+    let per_link = reciprocity_per_link(g);
+    let tagged = global_reciprocity(g);
+    prop_assert_eq!(
+        tagged.to_bits(),
+        per_link.to_bits(),
+        "{}: reciprocity {} vs per-link {}",
+        label,
+        tagged,
+        per_link
+    );
 }
 
 proptest! {
@@ -236,6 +325,7 @@ fn self_loops_and_duplicate_arcs_counted_alike() {
             (0, 1),
         ],
         vec![(2, 0), (0, 0), (1, 0), (3, 1)],
+        1,
     );
     let (san, raw) = build(&spec);
     check(&san, "San");
