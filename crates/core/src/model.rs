@@ -35,13 +35,13 @@
 //!
 //! Wakes and delayed reciprocations wait in day-bucketed calendars rather
 //! than one global heap. A wake at time `τ` waits in bucket `⌈τ⌉`; day `t`
-//! turns its bucket into a heap, pops it in `(time, node)` order and takes
-//! re-wakes due by `t` into the same heap, so every wake still fires in
-//! global time order. A reciprocation pushed on day `p` waits in bucket
-//! `max(⌈τ⌉, p + 1)` and each bucket fires in `(time, src, dst)` order at
-//! the start of its day. Entries past the last day are dropped, since they
-//! would never fire. The event stream is the one a single global heap
-//! produces, event for event.
+//! sorts its bucket once into `(time, node)` order and merges it with a
+//! small heap that holds only the re-wakes falling due by `t`, so every
+//! wake still fires in global time order. A reciprocation pushed on day
+//! `p` waits in bucket `max(⌈τ⌉, p + 1)` and each bucket, sorted once,
+//! fires in `(time, src, dst)` order at the start of its day. Entries
+//! past the last day are dropped, since they would never fire. The event
+//! stream is the one a single global heap produces, event for event.
 
 use crate::attach::LapaSampler;
 use crate::closing::ClosingModel;
@@ -442,6 +442,41 @@ impl PartialOrd for PendingLink {
     }
 }
 
+/// Day `t`'s wakes in [`Wake`] order: the day's bucket, sorted once,
+/// merged with a heap holding only the re-wakes that fall due the same
+/// day. Pops exactly the sequence a heap of the whole bucket would.
+#[derive(Debug)]
+struct DayWakes {
+    sorted: std::iter::Peekable<std::vec::IntoIter<Wake>>,
+    rewakes: BinaryHeap<Wake>,
+}
+
+impl DayWakes {
+    fn new(mut bucket: Vec<Wake>) -> Self {
+        // `Wake`'s order is reversed (the earliest wake is the greatest),
+        // so sorting descending puts the earliest first.
+        bucket.sort_unstable_by(|a, b| b.cmp(a));
+        DayWakes {
+            sorted: bucket.into_iter().peekable(),
+            rewakes: BinaryHeap::new(),
+        }
+    }
+
+    /// Queues a re-wake due today.
+    fn push(&mut self, wake: Wake) {
+        self.rewakes.push(wake);
+    }
+
+    /// The earliest wake left today.
+    fn pop(&mut self) -> Option<Wake> {
+        match (self.sorted.peek(), self.rewakes.peek()) {
+            (Some(a), Some(b)) if b > a => self.rewakes.pop(),
+            (Some(_), _) => self.sorted.next(),
+            (None, _) => self.rewakes.pop(),
+        }
+    }
+}
+
 /// Entries bucketed by the day they come due; days past the last one
 /// have no bucket, so entries for them are dropped.
 #[derive(Debug)]
@@ -597,8 +632,11 @@ impl SanModel {
             let recip = p.reciprocation_on(t);
             // Fire due reciprocations first: they respond to links from
             // earlier days.
-            let mut due = BinaryHeap::from(pending_recip.take(t));
-            while let Some(e) = due.pop() {
+            // `PendingLink`'s order is reversed like `Wake`'s: sorting
+            // descending fires the earliest first.
+            let mut due = pending_recip.take(t);
+            due.sort_unstable_by(|a, b| b.cmp(a));
+            for e in due {
                 let (src, dst) = (SocialId(e.src), SocialId(e.dst));
                 if tb.add_social_link(src, dst) {
                     sampler.on_social_link(tb.san(), dst);
@@ -677,7 +715,7 @@ impl SanModel {
 
             // Collect woken social nodes: today's bucket, in time order,
             // plus re-wakes that fall due today.
-            let mut woken = BinaryHeap::from(wakes.take(t));
+            let mut woken = DayWakes::new(wakes.take(t));
             while let Some(wake) = woken.pop() {
                 let u = SocialId(wake.node);
                 if wake.time > death[u.index()] {
@@ -1109,6 +1147,23 @@ mod tests {
         assert_eq!(heap.pop().unwrap(), Wake { time: 1.0, node: 3 });
         assert_eq!(heap.pop().unwrap(), Wake { time: 1.0, node: 9 });
         assert_eq!(heap.pop().unwrap(), Wake { time: 2.0, node: 1 });
+    }
+
+    #[test]
+    fn day_wakes_merge_rewakes_into_the_sorted_bucket() {
+        let w = |time, node| Wake { time, node };
+        let mut day = DayWakes::new(vec![w(2.5, 1), w(2.1, 9), w(2.1, 3), w(2.9, 4)]);
+        assert_eq!(day.pop(), Some(w(2.1, 3)));
+        day.push(w(2.2, 3));
+        assert_eq!(day.pop(), Some(w(2.1, 9)));
+        assert_eq!(day.pop(), Some(w(2.2, 3)));
+        day.push(w(2.5, 0));
+        day.push(w(2.95, 9));
+        assert_eq!(day.pop(), Some(w(2.5, 0)));
+        assert_eq!(day.pop(), Some(w(2.5, 1)));
+        assert_eq!(day.pop(), Some(w(2.9, 4)));
+        assert_eq!(day.pop(), Some(w(2.95, 9)));
+        assert_eq!(day.pop(), None);
     }
 
     #[test]

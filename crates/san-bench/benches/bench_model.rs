@@ -8,6 +8,7 @@ use san_bench::exp::modeling::fig15_models;
 use san_core::attach::AttachModel;
 use san_core::model::{LifetimeDist, SanModel, SanModelParams};
 use san_graph::{San, SocialId};
+use san_sim::GooglePlus;
 use san_stats::SplitRng;
 
 fn bench_generation(c: &mut Criterion) {
@@ -31,6 +32,17 @@ fn bench_generation(c: &mut Criterion) {
             },
         );
     }
+    // The `pipeline` workload's synthesis: streaming Google+ generation at
+    // scale 400 (about 79 k users, 0.5 M events) into a sink that drops
+    // every day's events, so only growing the SAN is timed.
+    group.bench_with_input(
+        BenchmarkId::new("google_plus", 400),
+        &400u32,
+        |b, &scale| {
+            let gp = GooglePlus::at_scale(scale);
+            b.iter(|| black_box(gp.generate_streaming(1, |_, _| {}).num_social_links()));
+        },
+    );
     // Ablation: exponential vs truncated-normal lifetimes (same scale).
     group.bench_function("lifetime_truncnormal", |b| {
         let model = SanModel::new(SanModelParams::paper_default(60, 20)).unwrap();

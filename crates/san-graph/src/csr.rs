@@ -1,9 +1,12 @@
 //! [`CsrSan`]: an immutable compressed-sparse-row snapshot of a SAN.
 //!
 //! The measurement half of the paper never mutates a snapshot, so the
-//! adjacency-of-`Vec`s layout of [`San`] pays for flexibility it does not
-//! use: one heap allocation per node, pointer-chasing per row, and linear
-//! membership scans. `CsrSan` freezes a snapshot into four CSR structures
+//! growable layout of [`San`] pays for flexibility it does not use: its
+//! rows share one arena per adjacency kind, but each is a
+//! `(start, len, cap)` span that may sit anywhere in it (with dead space
+//! and spare room between rows until [`San::shrink_to_fit`]), and rows
+//! are in insertion order, so membership is a linear scan. `CsrSan`
+//! freezes a snapshot into four CSR structures
 //! (out, in, user→attr, attr→user) plus a precomputed undirected union
 //! `Γs(u)`, each a pair of flat arrays:
 //!

@@ -10,6 +10,7 @@
 //! adjacency lists answer slowly — the sorted `Γs(u)` row a triangle-
 //! closing walk reads on every step.
 
+use crate::arena::RowArena;
 use crate::ids::{AttrId, AttrType, SocialId};
 use crate::read::SanRead;
 use crate::san::San;
@@ -479,18 +480,28 @@ impl Iterator for SnapshotStream<'_> {
 /// [`TimelineBuilder::advance_to_day`].
 ///
 /// Besides the [`San`], the builder keeps one sorted, deduplicated
-/// `Γs(u)` row per social node, updated by binary-search insertion on
-/// every new social link. [`San::social_neighbors`] has to merge, sort
-/// and allocate the in- and out-lists on every call; the generator's
-/// random-walk closing ([`view`](TimelineBuilder::view)) reads the stored
-/// row instead. The rows live only as long as the builder:
-/// [`finish`](TimelineBuilder::finish) drops them, so the finished
-/// network costs what a plain [`San`] costs.
+/// `Γs(u)` row per social node, in one row arena of its own (one `Vec`
+/// for all rows, a `(start, len, cap)` span per node), updated by
+/// binary-search insertion in place on every new social link.
+/// [`San::social_neighbors`] has to merge, sort and allocate the in- and
+/// out-lists on every call; the generator's random-walk closing
+/// ([`view`](TimelineBuilder::view)) reads the stored row instead.
+///
+/// The rows also decide whether a link is new: `dst ∉ Γs(src)` means no
+/// link joins the pair in either direction, so
+/// [`add_social_link`](TimelineBuilder::add_social_link) appends it
+/// without scanning the [`San`]'s lists, and scans them only when a
+/// reverse (or the same) link already made the pair neighbours.
+///
+/// The rows live only as long as the builder:
+/// [`finish`](TimelineBuilder::finish) drops them and compacts the
+/// [`San`] ([`San::shrink_to_fit`]), so the finished network costs only
+/// its live entries.
 #[derive(Debug, Clone, Default)]
 pub struct TimelineBuilder {
     san: San,
     /// `Γs(u)` per social node: sorted, deduplicated, never containing `u`.
-    social_rows: Vec<Vec<SocialId>>,
+    social_rows: RowArena<SocialId>,
     events: Vec<SanEvent>,
     day: u32,
 }
@@ -539,7 +550,7 @@ impl TimelineBuilder {
     /// Adds a social node now.
     pub fn add_social_node(&mut self) -> SocialId {
         let id = self.san.add_social_node();
-        self.social_rows.push(Vec::new());
+        self.social_rows.push_row();
         self.events.push(SanEvent::SocialNode { day: self.day });
         id
     }
@@ -553,11 +564,32 @@ impl TimelineBuilder {
 
     /// Adds a social link now; duplicate/self-loop attempts are not
     /// recorded and return `false`.
+    ///
+    /// # Panics
+    /// Panics if either endpoint does not exist, as
+    /// [`San::add_social_link`] does.
     pub fn add_social_link(&mut self, src: SocialId, dst: SocialId) -> bool {
-        let added = self.san.add_social_link(src, dst);
+        let n = self.san.num_social_nodes();
+        let added = if src == dst || src.index() >= n || dst.index() >= n {
+            // Rejected or panicking, exactly as the San decides.
+            self.san.add_social_link(src, dst)
+        } else {
+            match self.social_rows.row(src.index()).binary_search(&dst) {
+                // `dst ∉ Γs(src)`: no link joins the pair either way.
+                Err(at) => {
+                    self.san.push_new_social_link(src, dst);
+                    self.social_rows.insert(src.index(), at, dst);
+                    if let Err(at) = self.social_rows.row(dst.index()).binary_search(&src) {
+                        self.social_rows.insert(dst.index(), at, src);
+                    }
+                    true
+                }
+                // Neighbours already: only the San knows whether this
+                // direction exists. Both rows hold the pair either way.
+                Ok(_) => self.san.add_social_link(src, dst),
+            }
+        };
         if added {
-            self.insert_row_entry(src, dst);
-            self.insert_row_entry(dst, src);
             self.events.push(SanEvent::SocialLink {
                 day: self.day,
                 src,
@@ -565,16 +597,6 @@ impl TimelineBuilder {
             });
         }
         added
-    }
-
-    /// Inserts `v` into `Γs(u)` keeping the row sorted; a no-op when the
-    /// reverse link already put it there.
-    fn insert_row_entry(&mut self, u: SocialId, v: SocialId) {
-        if let Some(row) = self.social_rows.get_mut(u.index()) {
-            if let Err(at) = row.binary_search(&v) {
-                row.insert(at, v);
-            }
-        }
     }
 
     /// Adds an attribute link now; duplicates are not recorded and return
@@ -608,14 +630,19 @@ impl TimelineBuilder {
 
     /// Finalises the log, returning the timeline and the fully-grown
     /// network (identical to `timeline.final_snapshot()` but avoids a
-    /// replay). The stored `Γs` rows are dropped here.
+    /// replay). The stored `Γs` rows are dropped first, then the network
+    /// is compacted ([`San::shrink_to_fit`]), one adjacency kind at a
+    /// time, into arenas with no spare room.
     pub fn finish(self) -> (SanTimeline, San) {
-        (
-            SanTimeline {
-                events: self.events,
-            },
-            self.san,
-        )
+        let TimelineBuilder {
+            mut san,
+            social_rows,
+            events,
+            ..
+        } = self;
+        drop(social_rows);
+        san.shrink_to_fit();
+        (SanTimeline { events }, san)
     }
 }
 
@@ -623,13 +650,23 @@ impl TimelineBuilder {
 /// made by [`TimelineBuilder::view`].
 ///
 /// [`social_neighbors`](SanRead::social_neighbors) is the builder's stored
-/// `Γs(u)` row (`Cow::Borrowed`, no allocation); everything else —
-/// including [`has_social_link`](SanRead::has_social_link) and
+/// `Γs(u)` row, borrowed from its arena (`Cow::Borrowed`, no allocation).
+/// [`has_social_link`](SanRead::has_social_link) answers `false` from one
+/// binary search of that row when `dst ∉ Γs(src)`, and asks the [`San`]
+/// only when the pair are neighbours. Everything else — including
 /// [`common_attrs`](SanRead::common_attrs) — is the [`San`]'s own answer.
 #[derive(Debug, Clone, Copy)]
 pub struct BuilderView<'a> {
     san: &'a San,
-    social_rows: &'a [Vec<SocialId>],
+    social_rows: &'a RowArena<SocialId>,
+}
+
+impl BuilderView<'_> {
+    /// The stored `Γs(u)` row (empty for an unknown node).
+    #[inline]
+    fn row(&self, u: SocialId) -> &[SocialId] {
+        self.social_rows.get(u.index()).unwrap_or_default()
+    }
 }
 
 impl SanRead for BuilderView<'_> {
@@ -679,7 +716,7 @@ impl SanRead for BuilderView<'_> {
     }
 
     fn has_social_link(&self, src: SocialId, dst: SocialId) -> bool {
-        self.san.has_social_link(src, dst)
+        self.row(src).binary_search(&dst).is_ok() && self.san.has_social_link(src, dst)
     }
 
     fn has_attr_link(&self, user: SocialId, attr: AttrId) -> bool {
@@ -687,7 +724,7 @@ impl SanRead for BuilderView<'_> {
     }
 
     fn social_neighbors(&self, u: SocialId) -> Cow<'_, [SocialId]> {
-        Cow::Borrowed(self.social_rows.get(u.index()).map_or(&[], Vec::as_slice))
+        Cow::Borrowed(self.row(u))
     }
 
     fn common_attrs(&self, u: SocialId, v: SocialId) -> usize {

@@ -85,6 +85,7 @@
 //! * [`fixtures`] — the paper's Figure 1 six-user example network, reused as
 //!   a ground-truth fixture across the workspace test suites.
 
+mod arena;
 pub mod builder;
 pub mod codec;
 pub mod crawler;

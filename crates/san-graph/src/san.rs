@@ -1,6 +1,7 @@
 //! The core [`San`] structure: a directed social graph plus an undirected
 //! bipartite user–attribute graph, with the neighbourhood queries of §2.1.
 
+use crate::arena::RowArena;
 use crate::csr::CsrSan;
 use crate::ids::{AttrId, AttrType, SocialId};
 use crate::read::SanRead;
@@ -8,7 +9,7 @@ use std::collections::HashSet;
 
 /// An in-memory Social-Attribute Network.
 ///
-/// Storage is adjacency lists in insertion order:
+/// Storage is four adjacency kinds, each row in insertion order:
 ///
 /// * `out[u]` — social nodes `v` with a directed link `u → v`,
 /// * `inc[v]` — social nodes `u` with a directed link `u → v` (the mirror of
@@ -17,15 +18,23 @@ use std::collections::HashSet;
 /// * `node_attrs[u]` — attribute nodes linked to social node `u`,
 /// * `attr_members[a]` — social nodes linked to attribute node `a`.
 ///
+/// Each kind is one row arena: all of its rows share a single `Vec`, and
+/// a row is a `(start, len, cap)` span into it (12 bytes per node and
+/// kind). A full row moves to the arena's end with twice the room, so
+/// growth costs a handful of large reallocations rather than one heap
+/// block per row; the abandoned copies stay as dead space until
+/// [`shrink_to_fit`](San::shrink_to_fit) compacts every row into an
+/// arena with no spare room.
+///
 /// Self-loops and duplicate links are rejected by the mutation API; the
 /// structure therefore always encodes a simple directed graph plus a simple
 /// bipartite graph.
 #[derive(Debug, Clone, Default)]
 pub struct San {
-    out: Vec<Vec<SocialId>>,
-    inc: Vec<Vec<SocialId>>,
-    node_attrs: Vec<Vec<AttrId>>,
-    attr_members: Vec<Vec<SocialId>>,
+    out: RowArena<SocialId>,
+    inc: RowArena<SocialId>,
+    node_attrs: RowArena<AttrId>,
+    attr_members: RowArena<SocialId>,
     attr_types: Vec<AttrType>,
     num_social_links: usize,
     num_attr_links: usize,
@@ -40,10 +49,10 @@ impl San {
     /// Creates an empty SAN with capacity hints for the expected node counts.
     pub fn with_capacity(social: usize, attrs: usize) -> Self {
         San {
-            out: Vec::with_capacity(social),
-            inc: Vec::with_capacity(social),
-            node_attrs: Vec::with_capacity(social),
-            attr_members: Vec::with_capacity(attrs),
+            out: RowArena::with_rows(social),
+            inc: RowArena::with_rows(social),
+            node_attrs: RowArena::with_rows(social),
+            attr_members: RowArena::with_rows(attrs),
             attr_types: Vec::with_capacity(attrs),
             num_social_links: 0,
             num_attr_links: 0,
@@ -57,13 +66,13 @@ impl San {
     /// Number of social nodes `|Vs|`.
     #[inline]
     pub fn num_social_nodes(&self) -> usize {
-        self.out.len()
+        self.out.rows()
     }
 
     /// Number of attribute nodes `|Va|`.
     #[inline]
     pub fn num_attr_nodes(&self) -> usize {
-        self.attr_members.len()
+        self.attr_members.rows()
     }
 
     /// Number of directed social links `|Es|`.
@@ -85,17 +94,17 @@ impl San {
     /// Adds a social node and returns its id (ids are dense, in arrival
     /// order).
     pub fn add_social_node(&mut self) -> SocialId {
-        let id = SocialId(self.out.len() as u32);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        self.node_attrs.push(Vec::new());
+        let id = SocialId(self.out.rows() as u32);
+        self.out.push_row();
+        self.inc.push_row();
+        self.node_attrs.push_row();
         id
     }
 
     /// Adds an attribute node of the given type and returns its id.
     pub fn add_attr_node(&mut self, ty: AttrType) -> AttrId {
-        let id = AttrId(self.attr_members.len() as u32);
-        self.attr_members.push(Vec::new());
+        let id = AttrId(self.attr_members.rows() as u32);
+        self.attr_members.push_row();
         self.attr_types.push(ty);
         id
     }
@@ -108,15 +117,23 @@ impl San {
     /// # Panics
     /// Panics if either endpoint does not exist.
     pub fn add_social_link(&mut self, src: SocialId, dst: SocialId) -> bool {
-        assert!(src.index() < self.out.len(), "unknown source {src}");
-        assert!(dst.index() < self.out.len(), "unknown destination {dst}");
+        assert!(src.index() < self.out.rows(), "unknown source {src}");
+        assert!(dst.index() < self.out.rows(), "unknown destination {dst}");
         if src == dst || self.has_social_link(src, dst) {
             return false;
         }
-        self.out[src.index()].push(dst);
-        self.inc[dst.index()].push(src);
-        self.num_social_links += 1;
+        self.push_new_social_link(src, dst);
         true
+    }
+
+    /// Appends `src → dst` without the duplicate scan. The caller has
+    /// checked both endpoints exist, `src != dst`, and the link is not
+    /// already present ([`TimelineBuilder`](crate::TimelineBuilder) knows
+    /// that from its sorted `Γs` rows).
+    pub(crate) fn push_new_social_link(&mut self, src: SocialId, dst: SocialId) {
+        self.out.push(src.index(), dst);
+        self.inc.push(dst.index(), src);
+        self.num_social_links += 1;
     }
 
     /// Adds the undirected attribute link `user — attr`.
@@ -126,18 +143,30 @@ impl San {
     /// # Panics
     /// Panics if either endpoint does not exist.
     pub fn add_attr_link(&mut self, user: SocialId, attr: AttrId) -> bool {
-        assert!(user.index() < self.out.len(), "unknown user {user}");
+        assert!(user.index() < self.out.rows(), "unknown user {user}");
         assert!(
-            attr.index() < self.attr_members.len(),
+            attr.index() < self.attr_members.rows(),
             "unknown attr {attr}"
         );
         if self.has_attr_link(user, attr) {
             return false;
         }
-        self.node_attrs[user.index()].push(attr);
-        self.attr_members[attr.index()].push(user);
+        self.node_attrs.push(user.index(), attr);
+        self.attr_members.push(attr.index(), user);
         self.num_attr_links += 1;
         true
+    }
+
+    /// Compacts every adjacency row into arenas with no spare room, so the
+    /// network costs only its live entries (plus 12 bytes per row). Every
+    /// accessor answers exactly as before, and the SAN stays growable: the
+    /// next link into a compacted row moves that row to the arena's end.
+    pub fn shrink_to_fit(&mut self) {
+        self.out.compact();
+        self.inc.compact();
+        self.node_attrs.compact();
+        self.attr_members.compact();
+        self.attr_types.shrink_to_fit();
     }
 
     // ------------------------------------------------------------------
@@ -148,8 +177,8 @@ impl San {
     ///
     /// Scans the shorter of `out[src]` and `inc[dst]`.
     pub fn has_social_link(&self, src: SocialId, dst: SocialId) -> bool {
-        let out = &self.out[src.index()];
-        let inc = &self.inc[dst.index()];
+        let out = self.out.row(src.index());
+        let inc = self.inc.row(dst.index());
         if out.len() <= inc.len() {
             out.contains(&dst)
         } else {
@@ -159,8 +188,8 @@ impl San {
 
     /// True when the attribute link `user — attr` exists.
     pub fn has_attr_link(&self, user: SocialId, attr: AttrId) -> bool {
-        let ua = &self.node_attrs[user.index()];
-        let am = &self.attr_members[attr.index()];
+        let ua = self.node_attrs.row(user.index());
+        let am = self.attr_members.row(attr.index());
         if ua.len() <= am.len() {
             ua.contains(&attr)
         } else {
@@ -171,25 +200,25 @@ impl San {
     /// `Γs,out(u)` — outgoing social neighbours, in insertion order.
     #[inline]
     pub fn out_neighbors(&self, u: SocialId) -> &[SocialId] {
-        &self.out[u.index()]
+        self.out.row(u.index())
     }
 
     /// `Γs,in(u)` — incoming social neighbours, in insertion order.
     #[inline]
     pub fn in_neighbors(&self, u: SocialId) -> &[SocialId] {
-        &self.inc[u.index()]
+        self.inc.row(u.index())
     }
 
     /// `Γa(u)` — attribute neighbours of a social node.
     #[inline]
     pub fn attrs_of(&self, u: SocialId) -> &[AttrId] {
-        &self.node_attrs[u.index()]
+        self.node_attrs.row(u.index())
     }
 
     /// Social neighbours of an attribute node (its "members").
     #[inline]
     pub fn members_of(&self, a: AttrId) -> &[SocialId] {
-        &self.attr_members[a.index()]
+        self.attr_members.row(a.index())
     }
 
     /// Type of an attribute node.
@@ -201,9 +230,11 @@ impl San {
     /// `Γs(u)` — the undirected social neighbourhood of a social node
     /// (union of in- and out-neighbours), sorted and deduplicated.
     pub fn social_neighbors(&self, u: SocialId) -> Vec<SocialId> {
-        let mut v: Vec<SocialId> = self.out[u.index()]
+        let mut v: Vec<SocialId> = self
+            .out
+            .row(u.index())
             .iter()
-            .chain(self.inc[u.index()].iter())
+            .chain(self.inc.row(u.index()))
             .copied()
             .collect();
         v.sort_unstable();
@@ -214,34 +245,40 @@ impl San {
     /// Out-degree of a social node.
     #[inline]
     pub fn out_degree(&self, u: SocialId) -> usize {
-        self.out[u.index()].len()
+        self.out.row(u.index()).len()
     }
 
     /// In-degree of a social node.
     #[inline]
     pub fn in_degree(&self, u: SocialId) -> usize {
-        self.inc[u.index()].len()
+        self.inc.row(u.index()).len()
     }
 
     /// Attribute degree of a social node (`|Γa(u)|`).
     #[inline]
     pub fn attr_degree(&self, u: SocialId) -> usize {
-        self.node_attrs[u.index()].len()
+        self.node_attrs.row(u.index()).len()
     }
 
     /// Social degree of an attribute node (number of members).
     #[inline]
     pub fn social_degree_of_attr(&self, a: AttrId) -> usize {
-        self.attr_members[a.index()].len()
+        self.attr_members.row(a.index()).len()
     }
 
     /// Number of common attributes `a(u, v)` shared by two social nodes —
     /// the attribute-affinity term of the LAPA/PAPA attachment models (§5.1).
     pub fn common_attrs(&self, u: SocialId, v: SocialId) -> usize {
         let (small, large) = if self.attr_degree(u) <= self.attr_degree(v) {
-            (&self.node_attrs[u.index()], &self.node_attrs[v.index()])
+            (
+                self.node_attrs.row(u.index()),
+                self.node_attrs.row(v.index()),
+            )
         } else {
-            (&self.node_attrs[v.index()], &self.node_attrs[u.index()])
+            (
+                self.node_attrs.row(v.index()),
+                self.node_attrs.row(u.index()),
+            )
         };
         if large.len() <= 8 {
             // Tiny lists: quadratic scan beats hashing.
@@ -274,12 +311,12 @@ impl San {
 
     /// Iterates over all social node ids.
     pub fn social_nodes(&self) -> impl Iterator<Item = SocialId> + '_ {
-        (0..self.out.len() as u32).map(SocialId)
+        (0..self.out.rows() as u32).map(SocialId)
     }
 
     /// Iterates over all attribute node ids.
     pub fn attr_nodes(&self) -> impl Iterator<Item = AttrId> + '_ {
-        (0..self.attr_members.len() as u32).map(AttrId)
+        (0..self.attr_members.rows() as u32).map(AttrId)
     }
 
     /// Iterates over all directed social links `(src, dst)`.
@@ -317,10 +354,10 @@ impl San {
     /// Exhaustively checks the adjacency mirrors and link counters.
     /// Intended for tests; cost is O(V + E).
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.out.len() != self.inc.len() || self.out.len() != self.node_attrs.len() {
+        if self.out.rows() != self.inc.rows() || self.out.rows() != self.node_attrs.rows() {
             return Err("social arrays out of sync".into());
         }
-        if self.attr_members.len() != self.attr_types.len() {
+        if self.attr_members.rows() != self.attr_types.len() {
             return Err("attribute arrays out of sync".into());
         }
         let mut n_social = 0;
@@ -328,17 +365,17 @@ impl San {
             let u_id = SocialId(u as u32);
             for &v in outs {
                 n_social += 1;
-                if v.index() >= self.out.len() {
+                if v.index() >= self.out.rows() {
                     return Err(format!("dangling social link {u_id}->{v}"));
                 }
                 if v == u_id {
                     return Err(format!("self-loop at {u_id}"));
                 }
-                if !self.inc[v.index()].contains(&u_id) {
+                if !self.inc.row(v.index()).contains(&u_id) {
                     return Err(format!("missing mirror of {u_id}->{v}"));
                 }
             }
-            let mut seen = outs.clone();
+            let mut seen = outs.to_vec();
             seen.sort_unstable();
             let before = seen.len();
             seen.dedup();
@@ -352,7 +389,7 @@ impl San {
                 n_social, self.num_social_links
             ));
         }
-        let inc_total: usize = self.inc.iter().map(Vec::len).sum();
+        let inc_total = self.inc.total_len();
         if inc_total != self.num_social_links {
             return Err("incoming mirror count mismatch".into());
         }
@@ -361,10 +398,10 @@ impl San {
             let u_id = SocialId(u as u32);
             for &a in attrs {
                 n_attr += 1;
-                if a.index() >= self.attr_members.len() {
+                if a.index() >= self.attr_members.rows() {
                     return Err(format!("dangling attr link {u_id}-{a}"));
                 }
-                if !self.attr_members[a.index()].contains(&u_id) {
+                if !self.attr_members.row(a.index()).contains(&u_id) {
                     return Err(format!("missing mirror of attr link {u_id}-{a}"));
                 }
             }
@@ -375,7 +412,7 @@ impl San {
                 n_attr, self.num_attr_links
             ));
         }
-        let member_total: usize = self.attr_members.iter().map(Vec::len).sum();
+        let member_total = self.attr_members.total_len();
         if member_total != self.num_attr_links {
             return Err("attribute member mirror count mismatch".into());
         }

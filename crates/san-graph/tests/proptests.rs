@@ -403,3 +403,266 @@ proptest! {
         prop_assert_eq!(snap.san.num_social_nodes(), wcc_size);
     }
 }
+
+/// A plain `Vec<Vec<_>>` SAN: the reference the arena-backed [`San`]
+/// must match accessor for accessor.
+#[derive(Default)]
+struct RefSan {
+    out: Vec<Vec<SocialId>>,
+    inc: Vec<Vec<SocialId>>,
+    node_attrs: Vec<Vec<AttrId>>,
+    members: Vec<Vec<SocialId>>,
+    types: Vec<AttrType>,
+}
+
+/// One growth step, already resolved to concrete ids.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    SocialNode,
+    AttrNode(AttrType),
+    SocialLink(SocialId, SocialId),
+    AttrLink(SocialId, AttrId),
+    /// `San::shrink_to_fit` on the plain `San`; a no-op elsewhere.
+    Compact,
+}
+
+/// The mutation API shared by `San`, `TimelineBuilder` and the reference.
+trait Grow {
+    fn apply(&mut self, step: Step) -> bool;
+}
+
+impl Grow for RefSan {
+    fn apply(&mut self, step: Step) -> bool {
+        match step {
+            Step::SocialNode => {
+                self.out.push(Vec::new());
+                self.inc.push(Vec::new());
+                self.node_attrs.push(Vec::new());
+                true
+            }
+            Step::AttrNode(ty) => {
+                self.members.push(Vec::new());
+                self.types.push(ty);
+                true
+            }
+            Step::SocialLink(u, v) => {
+                if u == v || self.out[u.index()].contains(&v) {
+                    return false;
+                }
+                self.out[u.index()].push(v);
+                self.inc[v.index()].push(u);
+                true
+            }
+            Step::AttrLink(u, a) => {
+                if self.node_attrs[u.index()].contains(&a) {
+                    return false;
+                }
+                self.node_attrs[u.index()].push(a);
+                self.members[a.index()].push(u);
+                true
+            }
+            Step::Compact => true,
+        }
+    }
+}
+
+impl Grow for San {
+    fn apply(&mut self, step: Step) -> bool {
+        match step {
+            Step::SocialNode => self.add_social_node().index() + 1 == self.num_social_nodes(),
+            Step::AttrNode(ty) => self.add_attr_node(ty).index() + 1 == self.num_attr_nodes(),
+            Step::SocialLink(u, v) => self.add_social_link(u, v),
+            Step::AttrLink(u, a) => self.add_attr_link(u, a),
+            Step::Compact => {
+                self.shrink_to_fit();
+                true
+            }
+        }
+    }
+}
+
+impl Grow for TimelineBuilder {
+    fn apply(&mut self, step: Step) -> bool {
+        match step {
+            Step::SocialNode => self.add_social_node().index() + 1 == self.san().num_social_nodes(),
+            Step::AttrNode(ty) => self.add_attr_node(ty).index() + 1 == self.san().num_attr_nodes(),
+            Step::SocialLink(u, v) => self.add_social_link(u, v),
+            Step::AttrLink(u, a) => self.add_attr_link(u, a),
+            Step::Compact => true,
+        }
+    }
+}
+
+/// Maps a raw `(op, x, y)` to a step against the reference's current
+/// node counts. Ops: 0 social node, 1 attr node, 2 any social pair (self
+/// loops included), 3 the last social pair again or reversed, 4 any attr
+/// link, 5 the last attr link again, 6 a link to or from hub node 0,
+/// 7 an attr link to hub attribute 0 (the hubs' rows relocate many
+/// times), 8 compaction.
+fn resolve(
+    (op, x, y): (u8, u32, u32),
+    r: &RefSan,
+    last: &mut Option<(SocialId, SocialId)>,
+    last_attr: &mut Option<(SocialId, AttrId)>,
+) -> Option<Step> {
+    let ns = r.out.len() as u32;
+    let na = r.members.len() as u32;
+    let step = match op {
+        0 => Step::SocialNode,
+        1 => Step::AttrNode(AttrType::PAPER_TYPES[(x % 4) as usize]),
+        2 if ns >= 1 => {
+            let pair = (SocialId(x % ns), SocialId(y % ns));
+            *last = Some(pair);
+            Step::SocialLink(pair.0, pair.1)
+        }
+        3 => {
+            let (u, v) = (*last)?;
+            if x % 2 == 0 {
+                Step::SocialLink(u, v)
+            } else {
+                Step::SocialLink(v, u)
+            }
+        }
+        4 if ns >= 1 && na >= 1 => {
+            let pair = (SocialId(x % ns), AttrId(y % na));
+            *last_attr = Some(pair);
+            Step::AttrLink(pair.0, pair.1)
+        }
+        5 => {
+            let (u, a) = (*last_attr)?;
+            Step::AttrLink(u, a)
+        }
+        6 if ns >= 1 => {
+            let v = SocialId(x % ns);
+            if y % 2 == 0 {
+                Step::SocialLink(SocialId(0), v)
+            } else {
+                Step::SocialLink(v, SocialId(0))
+            }
+        }
+        7 if ns >= 1 && na >= 1 => Step::AttrLink(SocialId(x % ns), AttrId(0)),
+        8 => Step::Compact,
+        _ => return None,
+    };
+    Some(step)
+}
+
+/// Every accessor, counter and iterator of `san` equals the reference.
+fn assert_matches_ref(san: &San, r: &RefSan) {
+    assert_eq!(san.num_social_nodes(), r.out.len());
+    assert_eq!(san.num_attr_nodes(), r.members.len());
+    assert_eq!(
+        san.num_social_links(),
+        r.out.iter().map(Vec::len).sum::<usize>()
+    );
+    assert_eq!(
+        san.num_attr_links(),
+        r.node_attrs.iter().map(Vec::len).sum::<usize>()
+    );
+    for u in san.social_nodes() {
+        let i = u.index();
+        assert_eq!(san.out_neighbors(u), r.out[i].as_slice(), "out {u}");
+        assert_eq!(san.in_neighbors(u), r.inc[i].as_slice(), "in {u}");
+        assert_eq!(san.attrs_of(u), r.node_attrs[i].as_slice(), "attrs {u}");
+        assert_eq!(san.out_degree(u), r.out[i].len());
+        assert_eq!(san.in_degree(u), r.inc[i].len());
+        assert_eq!(san.attr_degree(u), r.node_attrs[i].len());
+        let mut und: Vec<SocialId> = r.out[i].iter().chain(&r.inc[i]).copied().collect();
+        und.sort_unstable();
+        und.dedup();
+        assert_eq!(San::social_neighbors(san, u), und, "Γs {u}");
+    }
+    for a in san.attr_nodes() {
+        assert_eq!(
+            san.members_of(a),
+            r.members[a.index()].as_slice(),
+            "members {a}"
+        );
+        assert_eq!(san.attr_type(a), r.types[a.index()]);
+        assert_eq!(san.social_degree_of_attr(a), r.members[a.index()].len());
+    }
+    let links: Vec<_> = r
+        .out
+        .iter()
+        .enumerate()
+        .flat_map(|(u, vs)| vs.iter().map(move |&v| (SocialId(u as u32), v)))
+        .collect();
+    assert_eq!(san.social_links().collect::<Vec<_>>(), links);
+    let attr_links: Vec<_> = r
+        .node_attrs
+        .iter()
+        .enumerate()
+        .flat_map(|(u, as_)| as_.iter().map(move |&a| (SocialId(u as u32), a)))
+        .collect();
+    assert_eq!(san.attr_links().collect::<Vec<_>>(), attr_links);
+    assert_eq!(san.check_consistency(), Ok(()));
+}
+
+/// The builder's view answers `social_neighbors` for every node, and
+/// `has_social_link` both ways between `probe` and every node, as its
+/// `San` does.
+fn assert_view_matches_san(tb: &TimelineBuilder, probe: u32) {
+    let (view, san) = (tb.view(), tb.san());
+    let ns = san.num_social_nodes() as u32;
+    for u in san.social_nodes() {
+        assert_eq!(
+            view.social_neighbors(u).as_ref(),
+            San::social_neighbors(san, u).as_slice()
+        );
+    }
+    if ns >= 1 {
+        let u = SocialId(probe % ns);
+        for v in san.social_nodes() {
+            assert_eq!(
+                view.has_social_link(u, v),
+                san.has_social_link(u, v),
+                "{u}->{v}"
+            );
+            assert_eq!(
+                view.has_social_link(v, u),
+                san.has_social_link(v, u),
+                "{v}->{u}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The arena-backed `San` against a `Vec<Vec>` reference under one
+    /// random operation sequence: duplicate and self-loop rejections,
+    /// hub rows that relocate several times, and compactions. A plain
+    /// `San` and a `TimelineBuilder` take the first half (the builder
+    /// deciding link novelty from its `Γs` rows); the builder is then
+    /// finished (which compacts its `San`) and the second half grows that
+    /// compacted `San`. Every step's answer and every accessor are
+    /// compared after every step.
+    #[test]
+    fn arena_san_matches_vec_reference(
+        first in prop::collection::vec((0u8..9, any::<u32>(), any::<u32>()), 1..250),
+        second in prop::collection::vec((0u8..9, any::<u32>(), any::<u32>()), 1..120)
+    ) {
+        let (mut r, mut san, mut tb) = (RefSan::default(), San::new(), TimelineBuilder::new());
+        let (mut last, mut last_attr) = (None, None);
+        for raw in first {
+            let Some(step) = resolve(raw, &r, &mut last, &mut last_attr) else { continue };
+            let want = r.apply(step);
+            prop_assert_eq!(san.apply(step), want, "{:?}", step);
+            prop_assert_eq!(tb.apply(step), want, "{:?}", step);
+            assert_matches_ref(&san, &r);
+            assert_matches_ref(tb.san(), &r);
+            assert_view_matches_san(&tb, raw.1);
+        }
+        let (_, mut finished) = tb.finish();
+        assert_matches_ref(&finished, &r);
+        for raw in second {
+            let Some(step) = resolve(raw, &r, &mut last, &mut last_attr) else { continue };
+            let want = r.apply(step);
+            prop_assert_eq!(san.apply(step), want, "{:?}", step);
+            prop_assert_eq!(finished.apply(step), want, "{:?}", step);
+            assert_matches_ref(&san, &r);
+            assert_matches_ref(&finished, &r);
+        }
+    }
+}

@@ -78,3 +78,15 @@ fn scale_20_event_stream_is_pinned() {
         );
     }
 }
+
+/// Scale 100 (about 25 k users): enough links that adjacency rows grow
+/// and relocate many times over, which scale 20 barely exercises.
+#[test]
+fn scale_100_event_stream_is_pinned() {
+    let (got_hash, got_events) = event_stream_hash(100, 7);
+    assert_eq!(got_events, 126_141, "seed 7: event count");
+    assert_eq!(
+        got_hash, 0x8fc2_3d0b_bc1d_11f8,
+        "seed 7: event stream hash {got_hash:#018x}"
+    );
+}
